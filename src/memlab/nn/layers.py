@@ -88,12 +88,14 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
-        return x @ self.w.data + self.b.data
+        y = x @ self.w.data
+        y += self.b.data
+        return y
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         x = self._take_cache()
-        self.w.grad = x.T @ dy
-        self.b.grad = dy.sum(axis=0)
+        np.matmul(x.T, dy, out=self.w.grad_buffer())
+        np.sum(dy, axis=0, out=self.b.grad_buffer())
         return dy @ self.w.data.T
 
     def describe(self) -> str:
@@ -111,13 +113,20 @@ class ReLU(Layer):
         return in_shape
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0
-        self._cache = mask
-        return np.where(mask, x, 0.0)
+        # np.maximum keeps a NaN, so a broken weight surfaces in the loss
+        # instead of being zeroed; it returns +0.0 for -0.0 like the old
+        # np.where(x > 0, x, 0.0), whose data-dependent branch it avoids
+        self._cache = x > 0
+        return np.maximum(x, 0.0)
 
     def backward(self, dy: np.ndarray) -> np.ndarray:
         mask = self._take_cache()
-        return np.where(mask, dy, 0.0)
+        # AND with all-ones words where x > 0: dy's exact bits there, +0.0
+        # elsewhere, which is np.where(mask, dy, 0.0) also for inf and -0.0
+        # (dy * mask would give nan for inf and -0.0 for negative dy)
+        keep = np.subtract(0, mask, dtype=np.uint64)
+        dy = np.asarray(dy, dtype=np.float64)
+        return np.bitwise_and(dy.view(np.uint64), keep, out=keep).view(np.float64)
 
 
 class Flatten(Layer):
@@ -200,8 +209,9 @@ class Conv2d(Layer):
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        self.w.grad = (dyc.T @ cols).reshape(self.w.shape)
-        self.b.grad = dyc.sum(axis=0)
+        np.matmul(dyc.T, cols,
+                  out=self.w.grad_buffer().reshape(self.out_channels, -1))
+        np.sum(dyc, axis=0, out=self.b.grad_buffer())
         dcols = (dyc @ wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         # scatter each kernel offset back onto the (strided) input positions

@@ -107,7 +107,12 @@ class Network:
         return x
 
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
-        """Fill every parameter's grad; returns them in network order."""
+        """Fill every parameter's grad; returns them in network order.
+
+        The returned arrays are the parameters' persistent grad buffers,
+        not copies: the next backward overwrites them in place, so copy
+        any gradient that must outlive it.
+        """
         if not self._ready:
             raise RuntimeError("backward called before forward")
         self._ready = False

@@ -62,11 +62,19 @@ class TrainConfig:
             "min_lr", "batch_size", "seed", "monitor")]
 
 
+# float64 elements per slice of the update: 256 KiB, so the slices of
+# v, g, p and the scratch buffer that one pass of four touches stay in a
+# 1-2 MiB L2 cache between passes
+_CHUNK = 32768
+
+
 class SgdMomentum:
     """Classical (heavy-ball) momentum:  v <- mu*v + g;  p <- p - lr*v.
 
     With momentum 0 this is exactly vanilla SGD.  Velocities are allocated
-    zero, one per parameter, in parameter order.
+    zero, one per parameter, in parameter order.  The update runs in place,
+    _CHUNK elements at a time; each element gets the same three float64
+    operations as the whole-array form, so the result is bit-identical.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
@@ -77,9 +85,12 @@ class SgdMomentum:
         self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
-        self.velocity = [np.zeros_like(p.data) for p in params]
+        self.velocity = [np.zeros(p.data.shape) for p in params]
+        largest = max((p.size for p in params), default=0)
+        self._scratch = np.empty(min(_CHUNK, largest))
 
     def step(self) -> None:
+        mu, lr = self.momentum, self.lr
         for p, v in zip(self.params, self.velocity):
             if p.grad is None:
                 raise RuntimeError("optimizer step with missing gradient")
@@ -87,9 +98,16 @@ class SgdMomentum:
                 raise ValueError(
                     f"gradient shape {p.grad.shape} != parameter shape {v.shape}"
                 )
-            v *= self.momentum
-            v += p.grad
-            p.data -= self.lr * v
+            if not p.data.flags.c_contiguous:
+                raise ValueError("parameter data must be C-contiguous")
+            flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+            flat_g = p.grad.reshape(-1)
+            for lo in range(0, flat_v.size, _CHUNK):
+                hi = lo + _CHUNK
+                vs = flat_v[lo:hi]
+                vs *= mu
+                vs += flat_g[lo:hi]
+                flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
 
 
 class PlateauScheduler:

@@ -13,7 +13,8 @@ class Tensor:
 
     Used for trainable parameters; activations flowing through the network
     are plain numpy arrays.  ``grad`` always has the same shape as ``data``
-    once backward has run.
+    once backward has run; layers write it in place through grad_buffer, so
+    the same array is reused from one backward pass to the next.
     """
 
     __slots__ = ("data", "grad")
@@ -35,6 +36,15 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
+
+    def grad_buffer(self) -> np.ndarray:
+        """``grad``, first replaced by a fresh array unless it is already a
+        C-contiguous float64 array of ``data``'s shape that can be written."""
+        g = self.grad
+        if (g is None or g.shape != self.data.shape or g.dtype != np.float64
+                or not (g.flags.c_contiguous and g.flags.writeable)):
+            g = self.grad = np.empty(self.data.shape)
+        return g
 
     def zero_grad(self) -> None:
         self.grad = None

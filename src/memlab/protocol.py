@@ -349,14 +349,12 @@ def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
     base_net = build_network(arch, t_train.feature_shape, t_train.num_classes)
     base_net.initialize(ft.seed)
     _, base_log = train(base_net, t_train, t_val, ft)
-    _, base_acc = evaluate(base_net, t_val)
 
     ckpt, _ = pretrain_random(source_d, arch, pre, label_seed)
-    ft_ckpt, ft_log = finetune(ckpt, t_train, ft, val_d=t_val)
-    ft_net = ft_ckpt.build()
-    ft_net.load_state(ft_ckpt.tensors)
-    _, ft_acc = evaluate(ft_net, t_val)
-    return base_acc, ft_acc, base_log.data_order_fingerprint, ft_log.data_order_fingerprint
+    _, ft_log = finetune(ckpt, t_train, ft, val_d=t_val)
+    # the last val record is evaluate() on the final weights of each arm
+    return (base_log.final("val").accuracy, ft_log.final("val").accuracy,
+            base_log.data_order_fingerprint, ft_log.data_order_fingerprint)
 
 
 def thread_budget() -> int:
@@ -383,6 +381,9 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     """
     if not seeds:
         raise ValueError("need at least one seed")
+    if ft_cfg.epochs < 1:
+        raise ConfigError("compare needs at least one fine-tune epoch: each "
+                          "arm is scored by its last validation epoch")
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
 
     def job(seed):

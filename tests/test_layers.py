@@ -1,7 +1,10 @@
 """Layer forward/backward against naive loop oracles."""
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError
 
@@ -40,8 +43,8 @@ def test_dense_backward_formulas():
     dy = rand((4, 2), 7)
     layer.forward(x)
     dx = layer.backward(dy)
-    assert np.allclose(layer.w.grad, x.T @ dy)
-    assert np.allclose(layer.b.grad, dy.sum(axis=0))
+    assert np.array_equal(layer.w.grad, x.T @ dy)
+    assert np.array_equal(layer.b.grad, dy.sum(axis=0))
     assert np.allclose(dx, dy @ layer.w.data.T)
 
 
@@ -60,6 +63,29 @@ def test_backward_without_forward_raises():
         layer.backward(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("make,x_shape,y_shape", [
+    (lambda: Dense(5, 3), (4, 5), (4, 3)),
+    (lambda: Conv2d(2, 3, kernel=2, stride=1, padding=1), (2, 2, 4, 4), (2, 3, 5, 5)),
+], ids=["dense", "conv"])
+def test_backward_overwrites_persistent_grad_buffers(make, x_shape, y_shape):
+    layer, fresh = make(), make()
+    layer.init_params(Prng(31))
+    fresh.init_params(Prng(31))
+    layer.forward(rand(x_shape, 32))
+    layer.backward(rand(y_shape, 33))
+    buffers = (layer.w.grad, layer.b.grad)
+    x, dy = rand(x_shape, 34), rand(y_shape, 35)
+    layer.forward(x)
+    layer.backward(dy)
+    # same arrays, rewritten: the second pass neither reallocates nor
+    # accumulates onto the first pass's values
+    assert layer.w.grad is buffers[0] and layer.b.grad is buffers[1]
+    fresh.forward(x)
+    fresh.backward(dy)
+    assert layer.w.grad.tobytes() == fresh.w.grad.tobytes()
+    assert layer.b.grad.tobytes() == fresh.b.grad.tobytes()
+
+
 # ---------------------------------------------------------------- ReLU / Flatten
 
 def test_relu_forward_backward():
@@ -69,6 +95,25 @@ def test_relu_forward_backward():
     dx = layer.backward(np.array([[5.0, 5.0, 5.0]]))
     # gradient passes only where x was strictly positive
     assert np.array_equal(dx, [[0.0, 0.0, 5.0]])
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+_FINITE_OR_SPECIAL = _SPECIAL | st.floats(allow_nan=False, allow_infinity=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=hnp.array_shapes(min_dims=1, max_dims=3, max_side=40))
+def test_relu_is_bit_identical_to_where_reference(data, shape):
+    x = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE_OR_SPECIAL))
+    dy = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE_OR_SPECIAL))
+    layer = ReLU()
+    assert layer.forward(x).tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert layer.backward(dy).tobytes() == np.where(x > 0, dy, 0.0).tobytes()
+
+
+def test_relu_keeps_nan():
+    out = ReLU().forward(np.array([[np.nan, -1.0]]))
+    assert np.isnan(out[0, 0]) and out[0, 1] == 0.0
 
 
 def test_flatten_round_trip():

@@ -1,9 +1,12 @@
 """Optimizer update arithmetic and plateau scheduler counter semantics."""
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memlab import NonFiniteError, PlateauScheduler, SgdMomentum, Tensor, TrainConfig
+from memlab.nn.optim import _CHUNK
 
 
 def param(value):
@@ -56,6 +59,51 @@ def test_step_requires_gradients():
     t = param(1.0)
     opt = SgdMomentum([t], lr=0.1, momentum=0.0)
     with pytest.raises(RuntimeError):
+        opt.step()
+
+
+def reference_step(params, velocity, lr, momentum):
+    """The whole-array update the chunked step must reproduce bit for bit."""
+    for p, v in zip(params, velocity):
+        v *= momentum
+        v += p.grad
+        p.data -= lr * v
+
+
+CHUNK_SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.sampled_from(CHUNK_SIZES),
+       momentum=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+       lr=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_chunked_step_is_bit_identical_to_reference(size, momentum, lr, seed):
+    rng = np.random.default_rng(seed)
+    # a matrix, a vector of the drawn size and a single element share one
+    # scratch buffer
+    shapes = [(3, 5), (size,), (1,)]
+    datas = [rng.standard_normal(s) for s in shapes]
+    ours = [Tensor(d.copy()) for d in datas]
+    ref = [Tensor(d.copy()) for d in datas]
+    ref_v = [np.zeros(s) for s in shapes]
+    opt = SgdMomentum(ours, lr=lr, momentum=momentum)
+    for _ in range(3):
+        for a, b in zip(ours, ref):
+            a.grad = rng.standard_normal(a.shape)
+            b.grad = a.grad.copy()
+        opt.step()
+        reference_step(ref, ref_v, lr, momentum)
+        for a, b, va, vb in zip(ours, ref, opt.velocity, ref_v):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert va.tobytes() == vb.tobytes()
+
+
+def test_step_rejects_non_contiguous_parameter():
+    t = Tensor(np.zeros((4, 4)))
+    opt = SgdMomentum([t], lr=0.1, momentum=0.0)
+    t.data = np.zeros((4, 4)).T
+    t.grad = np.ones((4, 4))
+    with pytest.raises(ValueError):
         opt.step()
 
 

@@ -10,7 +10,7 @@ from memlab import (ConfigError, EpochRecord, MetricsLog, ShapeError,
                     TransferReport, assign_random_labels, build_network,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
-                    synth_blobs, train, write_metrics_csv)
+                    synth_blobs, synth_images, train, write_metrics_csv)
 from memlab.protocol import shuffle_seed, thread_budget
 
 
@@ -100,6 +100,23 @@ class TestTrain:
         net = fresh_net(d, "flatten dense:8 relu")
         with pytest.raises(TrainingDivergedError, match="round 1"):
             train(net, d, None, blob_cfg(epochs=50, initial_lr=1e9))
+
+    def test_nan_weight_is_not_trained_into_checkpoint(self):
+        # ReLU used to zero the NaN column, so the run finished with a
+        # finite loss and saved the NaN weight
+        d = synth_images(64, 4, seed=1)
+        net = fresh_net(d, "flatten dense:16 relu")
+        net.layers[1].w.data[3, 5] = np.nan
+        with pytest.raises(TrainingDivergedError):
+            train(net, d, None, blob_cfg(epochs=2))
+
+    def test_final_val_record_is_evaluate_of_final_weights(self):
+        d = synth_blobs(64, 4, 6, 0.5, seed=3)
+        tr, va = split(d, SplitSpec(0.75, seed=0))
+        net = fresh_net(d, "flatten dense:8 relu")
+        _, log = train(net, tr, va, blob_cfg(epochs=3))
+        final = log.final("val")
+        assert (final.loss, final.accuracy) == evaluate(net, va)
 
     def test_val_monitor_requires_val_set(self):
         d = synth_blobs(64, 4, 6, 0.5, seed=3)
@@ -293,6 +310,11 @@ class TestCompareTransfer:
         assert report.mean_difference == 0.0
         for base_fp, ft_fp in report.order_fingerprints:
             assert base_fp == ft_fp
+
+    def test_needs_a_fine_tune_epoch(self):
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        with pytest.raises(ConfigError):
+            compare_transfer(d, d, "", blob_cfg(), blob_cfg(epochs=0), seeds=[0])
 
     def test_needs_at_least_one_seed(self):
         d = synth_blobs(40, 3, 6, 0.5, seed=11)

@@ -3,7 +3,8 @@
 Every layer does three things: report its output shape for a given input
 shape (used for construction-time checking), run forward while caching what
 backward needs, and run backward filling parameter gradients and returning
-the gradient with respect to its input.
+the gradient with respect to its input (None when the caller passes
+``input_grad=False``, as the network does for its first layer).
 
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the
@@ -13,11 +14,14 @@ input; output sizes use floor division.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..errors import ShapeError
 from ..prng import Prng
 from .tensor import Tensor, he_init
+
+# bytes of im2col rows filled per pass in Conv2d.forward: well inside the
+# per-core L2, so the k*k strided writes into one block hit cache
+_COLS_BLOCK_BYTES = 1 << 20
 
 
 def _positive(name: str, value: int) -> int:
@@ -42,7 +46,9 @@ class Layer:
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Fill parameter grads; return the input gradient, or None when
+        ``input_grad`` is false (nothing upstream needs it)."""
         raise NotImplementedError
 
     def _take_cache(self):
@@ -67,8 +73,8 @@ class Dense(Layer):
     def __init__(self, in_features: int, out_features: int):
         self.in_features = _positive("in_features", in_features)
         self.out_features = _positive("out_features", out_features)
-        self.w = Tensor(np.zeros((self.in_features, self.out_features)))
-        self.b = Tensor(np.zeros(self.out_features))
+        self.w = Tensor._own(np.zeros((self.in_features, self.out_features)))
+        self.b = Tensor._own(np.zeros(self.out_features))
         self._cache = None
 
     def params(self) -> list[Tensor]:
@@ -92,11 +98,11 @@ class Dense(Layer):
         y += self.b.data
         return y
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x = self._take_cache()
         np.matmul(x.T, dy, out=self.w.grad_buffer())
         np.sum(dy, axis=0, out=self.b.grad_buffer())
-        return dy @ self.w.data.T
+        return dy @ self.w.data.T if input_grad else None
 
     def describe(self) -> str:
         return f"Dense({self.in_features}->{self.out_features})"
@@ -119,8 +125,10 @@ class ReLU(Layer):
         self._cache = x > 0
         return np.maximum(x, 0.0)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         mask = self._take_cache()
+        if not input_grad:
+            return None
         # AND with all-ones words where x > 0: dy's exact bits there, +0.0
         # elsewhere, which is np.where(mask, dy, 0.0) also for inf and -0.0
         # (dy * mask would give nan for inf and -0.0 for negative dy)
@@ -140,9 +148,9 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         shape = self._take_cache()
-        return dy.reshape(shape)
+        return dy.reshape(shape) if input_grad else None
 
 
 class Conv2d(Layer):
@@ -156,8 +164,8 @@ class Conv2d(Layer):
         if self.padding < 0:
             raise ValueError(f"padding must be non-negative, got {padding}")
         shape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
-        self.w = Tensor(np.zeros(shape))
-        self.b = Tensor(np.zeros(self.out_channels))
+        self.w = Tensor._own(np.zeros(shape))
+        self.b = Tensor._own(np.zeros(self.out_channels))
         self._cache = None
 
     def params(self) -> list[Tensor]:
@@ -188,30 +196,42 @@ class Conv2d(Layer):
         return (self.out_channels, oh, ow)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        n, _, h, w = x.shape
+        n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = self._out_hw(h, w)
-        if p > 0:
-            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
-        # (N, C, oh, ow, k, k) view, then one big matmul over flattened patches
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        # zero-padded channels-last copy: at stride 1 the (ow, C) block of a
+        # kernel offset is one run in it
+        xt = np.zeros((n, h + 2 * p, w + 2 * p, c))
+        xt[:, p:p + h, p:p + w] = x.transpose(0, 2, 3, 1)
+        # im2col: row (n, y, x) holds patch (C, k, k), filled one kernel
+        # offset at a time, a block of images per pass so that the k*k
+        # strided passes over that block stay in cache
+        cols = np.empty((n, oh, ow, c, k, k))
+        step = max(1, _COLS_BLOCK_BYTES // (oh * ow * c * k * k * 8))
+        for lo in range(0, n, step):
+            block, src = cols[lo:lo + step], xt[lo:lo + step]
+            for i in range(k):
+                for j in range(k):
+                    block[..., i, j] = src[:, i:i + s * oh:s, j:j + s * ow:s]
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        y = cols @ wmat.T + self.b.data
+        y = cols @ wmat.T
+        y += self.b.data
         self._cache = (cols, (n, h, w), (oh, ow))
         return np.ascontiguousarray(
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         )
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = self._take_cache()
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
-        wmat = self.w.data.reshape(self.out_channels, -1)
         np.matmul(dyc.T, cols,
                   out=self.w.grad_buffer().reshape(self.out_channels, -1))
         np.sum(dyc, axis=0, out=self.b.grad_buffer())
+        if not input_grad:
+            return None
+        wmat = self.w.data.reshape(self.out_channels, -1)
         dcols = (dyc @ wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         # scatter each kernel offset back onto the (strided) input positions
@@ -254,26 +274,60 @@ class MaxPool2d(Layer):
             )
         return (in_shape[0], oh, ow)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        n, c, h, w = x.shape
+    def _windows(self, oh: int, ow: int) -> list[tuple]:
+        """Index of element (i, j) of every window at once, for each window
+        offset i*k+j in row-major order."""
         k, s = self.kernel, self.stride
-        oh, ow = self._out_hw(h, w)
-        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
-        flat = windows.reshape(n, c, oh, ow, k * k)
-        # argmax takes the first maximum, so ties resolve deterministically
-        idx = flat.argmax(axis=-1)
-        self._cache = (idx, (n, c, h, w), (oh, ow))
-        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+                for i in range(k) for j in range(k)]
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
-        idx, (n, c, h, w), (oh, ow) = self._take_cache()
-        k, s = self.kernel, self.stride
-        dx = np.zeros((n, c, h, w))
-        ni, ci, ri, qi = np.indices((n, c, oh, ow), sparse=False)
-        rows = ri * s + idx // k
-        cols = qi * s + idx % k
-        # overlapping windows can hit the same cell, so accumulate
-        np.add.at(dx, (ni, ci, rows, cols), dy)
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        # float64, so the maximum's bits can be selected as uint64 words
+        x = np.asarray(x, dtype=np.float64)
+        views = self._windows(*self._out_hw(*x.shape[2:]))
+        best = x[views[0]].copy()
+        bits = best.view(np.uint64)
+        arg = np.zeros(best.shape, dtype=np.min_scalar_type(len(views) - 1))
+        for off, view in enumerate(views[1:], 1):
+            v = x[view].copy()  # two passes read it: cheaper contiguous
+            # argmax's rule: the first strictly greater element, or the first
+            # NaN; a NaN best stays, since best == best is then false
+            take = np.logical_and(best == best, ~(v <= best))
+            # offsets only grow, so the max keeps the last offset taken
+            np.maximum(arg, np.multiply(take, off, dtype=arg.dtype), out=arg)
+            # bitwise select (as in ReLU) keeps v's exact bits where take
+            # holds, without the branch a random mask would mispredict
+            keep = np.subtract(0, take, dtype=np.uint64)
+            keep &= np.bitwise_xor(bits, v.view(np.uint64), out=v.view(np.uint64))
+            bits ^= keep
+        self._cache = (arg, x.shape)
+        return best
+
+    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        arg, shape = self._take_cache()
+        if not input_grad:
+            return None
+        dy = np.asarray(dy, dtype=np.float64)
+        nan = dy != dy
+        clear = bool(nan.any())
+        dy = dy.view(np.uint64)
+        dx = np.zeros(shape)
+        # each offset adds dy where it won onto its strided view of dx;
+        # walking the offsets backwards adds every cell's contributions in
+        # window order, as np.add.at would, so overlapping windows (s < k)
+        # sum in the same order and to the same bits
+        views = self._windows(*arg.shape[2:])
+        for off in reversed(range(len(views))):
+            cell = dx[views[off]]
+            won = arg == off
+            if clear:
+                # np.add.at answers NaN + NaN with the incoming NaN, which a
+                # ufunc loop does not promise: zero a cell a NaN lands on
+                # (without a NaN in dy this mask is all ones, so it is skipped)
+                cb = cell.view(np.uint64)
+                np.bitwise_and(cb, np.subtract(won & nan, 1, dtype=np.uint64), out=cb)
+            won = np.subtract(0, won, dtype=np.uint64)
+            cell += np.bitwise_and(dy, won, out=won).view(np.float64)
         return dx
 
     def describe(self) -> str:

@@ -30,20 +30,31 @@ class Network:
     """Layers plus head, with construction-time shape validation."""
 
     def __init__(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...]):
-        self.layers = list(layers)
-        self.head = head
-        self.input_shape = tuple(int(d) for d in input_shape)
-        if any(d <= 0 for d in self.input_shape):
-            raise ValueError(f"input dimensions must be positive: {self.input_shape}")
-        shape = self.input_shape
-        for i, layer in enumerate(self.layers):
+        input_shape = _input_dims(input_shape)
+        shape = input_shape
+        for i, layer in enumerate(layers):
             try:
                 shape = layer.output_shape(shape)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
+        self._assemble(layers, head, input_shape, shape)
+
+    @classmethod
+    def _walked(cls, layers: list[Layer], head: Dense, input_shape: tuple[int, ...],
+                feature_shape: tuple[int, ...]) -> "Network":
+        """A network whose layer shapes the caller has already walked."""
+        net = cls.__new__(cls)
+        net._assemble(layers, head, _input_dims(input_shape), feature_shape)
+        return net
+
+    def _assemble(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...],
+                  feature_shape: tuple[int, ...]) -> None:
+        self.layers = list(layers)
+        self.head = head
+        self.input_shape = input_shape
+        self.feature_shape = feature_shape
         try:
-            self.feature_shape = shape
-            self.head.output_shape(shape)
+            head.output_shape(feature_shape)
         except ShapeError as e:
             raise ShapeError(f"head ({head.describe()}): {e}") from None
         self._ready = False
@@ -109,6 +120,10 @@ class Network:
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fill every parameter's grad; returns them in network order.
 
+        Every layer's backward runs, but the first layer (the head, when
+        there is no other) is asked for no input gradient and returns
+        None: nothing consumes the gradient with respect to the batch.
+
         The returned arrays are the parameters' persistent grad buffers,
         not copies: the next backward overwrites them in place, so copy
         any gradient that must outlive it.
@@ -117,9 +132,10 @@ class Network:
             raise RuntimeError("backward called before forward")
         self._ready = False
         d = np.asarray(dlogits, dtype=np.float64)
-        d = self.head.backward(d)
-        for layer in reversed(self.layers):
+        *later, first = reversed(self.all_layers)
+        for layer in later:
             d = layer.backward(d)
+        first.backward(d, input_grad=False)
         return [p.grad for p in self.parameters()]
 
     def state_tensors(self) -> list[np.ndarray]:
@@ -160,8 +176,20 @@ def _parse_int_args(token: str, spec: str, minimum: int, maximum: int) -> list[i
         raise ValueError(f"bad layer token {token!r}") from None
 
 
-def layers_from_tokens(tokens: list[str], input_shape: tuple[int, ...]) -> list[Layer]:
-    """Instantiate the layer stack, inferring per-layer input widths."""
+def _input_dims(input_shape: tuple[int, ...]) -> tuple[int, ...]:
+    dims = tuple(int(d) for d in input_shape)
+    if any(d <= 0 for d in dims):
+        raise ValueError(f"input dimensions must be positive: {dims}")
+    return dims
+
+
+def layers_from_tokens(tokens: list[str], input_shape: tuple[int, ...]
+                       ) -> tuple[list[Layer], tuple[int, ...]]:
+    """Instantiate the layer stack, inferring per-layer input widths.
+
+    Returns the layers and the per-sample shape they output; sizing each
+    layer from the shape before it also checks the stack.
+    """
     shape = tuple(int(d) for d in input_shape)
     layers: list[Layer] = []
     for token in tokens:
@@ -192,25 +220,20 @@ def layers_from_tokens(tokens: list[str], input_shape: tuple[int, ...]) -> list[
             raise ValueError(f"unknown layer token {token!r}")
         shape = layer.output_shape(shape)
         layers.append(layer)
-    return layers
+    return layers, shape
 
 
 def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> Network:
     """Network from an architecture token string; head appended automatically."""
     if num_classes <= 0:
         raise ValueError(f"num_classes must be positive, got {num_classes}")
-    tokens = arch.split()
-    layers = layers_from_tokens(tokens, input_shape)
-    shape = tuple(input_shape)
-    for layer in layers:
-        shape = layer.output_shape(shape)
+    layers, shape = layers_from_tokens(arch.split(), input_shape)
     if len(shape) != 1:
         raise ShapeError(
             f"architecture output shape {shape} is not flat; "
             "end the token list with 'flatten'"
         )
-    head = Dense(shape[0], num_classes)
-    return Network(layers, head, input_shape)
+    return Network._walked(layers, Dense(shape[0], num_classes), input_shape, shape)
 
 
 def descriptor_of(arch: str, input_shape: tuple[int, ...], num_classes: int) -> str:

@@ -15,19 +15,31 @@ class Tensor:
     are plain numpy arrays.  ``grad`` always has the same shape as ``data``
     once backward has run; layers write it in place through grad_buffer, so
     the same array is reused from one backward pass to the next.
+
+    The constructor copies ``data`` and ``grad``: the optimizer updates
+    parameters in place, which must never write through to a caller's array.
     """
 
     __slots__ = ("data", "grad")
 
     def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
-        self.data = np.ascontiguousarray(data, dtype=np.float64)
+        self.data = np.array(data, dtype=np.float64, order="C")
         if grad is not None:
-            grad = np.ascontiguousarray(grad, dtype=np.float64)
+            grad = np.array(grad, dtype=np.float64, order="C")
             if grad.shape != self.data.shape:
                 raise ValueError(
                     f"grad shape {grad.shape} != data shape {self.data.shape}"
                 )
         self.grad = grad
+
+    @classmethod
+    def _own(cls, data: np.ndarray) -> "Tensor":
+        """Wrap, without the copy, a fresh C-contiguous float64 array that
+        no caller holds: the zeros and He draws that memlab itself builds
+        (a copy of np.zeros would also touch every page of it)."""
+        t = cls.__new__(cls)
+        t.data, t.grad = data, None
+        return t
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -69,7 +81,8 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: Prng) -> Tensor:
     if any(d <= 0 for d in shape):
         raise ValueError(f"dimensions must be positive, got {shape}")
     if len(shape) == 1:
-        return Tensor(np.zeros(shape, dtype=np.float64))
+        return Tensor._own(np.zeros(shape))
     n = int(np.prod(shape))
-    std = np.sqrt(2.0 / fan_in)
-    return Tensor(rng.fill_gaussian(n).reshape(shape) * std)
+    w = rng.fill_gaussian(n).reshape(shape)
+    w *= np.sqrt(2.0 / fan_in)
+    return Tensor._own(w)

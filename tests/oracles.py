@@ -1,0 +1,73 @@
+"""Reference conv-path kernels: the straightforward formulations that
+nn/layers.py's Conv2d and MaxPool2d must match bit for bit.
+
+ReferenceConv2d builds its im2col matrix as one contiguous copy of a 6-D
+transposed window view; ReferenceMaxPool2d takes argmax over a copied
+window view and scatters its gradient with np.add.at.  Both keep the
+parameters and constructor of the layer they shadow, so a test can load the
+same weights into either and compare outputs with .tobytes().
+"""
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from memlab import Conv2d, MaxPool2d
+
+
+class ReferenceConv2d(Conv2d):
+    def forward(self, x):
+        n, _, h, w = x.shape
+        k, s, p = self.kernel, self.stride, self.padding
+        oh, ow = self._out_hw(h, w)
+        if p > 0:
+            x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+        cols = cols.reshape(n * oh * ow, -1)
+        wmat = self.w.data.reshape(self.out_channels, -1)
+        y = cols @ wmat.T + self.b.data
+        self._cache = (cols, (n, h, w), (oh, ow))
+        return np.ascontiguousarray(
+            y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        )
+
+    def backward(self, dy, input_grad=True):
+        cols, (n, h, w), (oh, ow) = self._take_cache()
+        k, s, p = self.kernel, self.stride, self.padding
+        dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
+        wmat = self.w.data.reshape(self.out_channels, -1)
+        np.matmul(dyc.T, cols,
+                  out=self.w.grad_buffer().reshape(self.out_channels, -1))
+        np.sum(dyc, axis=0, out=self.b.grad_buffer())
+        dcols = (dyc @ wmat).reshape(n, oh, ow, self.in_channels, k, k)
+        dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
+        for i in range(k):
+            for j in range(k):
+                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
+                    dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
+                )
+        if p > 0:
+            return np.ascontiguousarray(dxp[:, :, p:p + h, p:p + w])
+        return dxp
+
+
+class ReferenceMaxPool2d(MaxPool2d):
+    def forward(self, x):
+        n, c, h, w = x.shape
+        k, s = self.kernel, self.stride
+        oh, ow = self._out_hw(h, w)
+        windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
+        flat = windows.reshape(n, c, oh, ow, k * k)
+        idx = flat.argmax(axis=-1)
+        self._cache = (idx, (n, c, h, w), (oh, ow))
+        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+
+    def backward(self, dy, input_grad=True):
+        idx, (n, c, h, w), (oh, ow) = self._take_cache()
+        k, s = self.kernel, self.stride
+        dx = np.zeros((n, c, h, w))
+        ni, ci, ri, qi = np.indices((n, c, oh, ow), sparse=False)
+        rows = ri * s + idx // k
+        cols = qi * s + idx % k
+        np.add.at(dx, (ni, ci, rows, cols), dy)
+        return dx

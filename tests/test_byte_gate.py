@@ -1,16 +1,30 @@
-"""Byte gate: a small fixed CLI pretrain and reshuffle pinned by sha256.
+"""Byte gates: small fixed runs pinned by sha256.
 
-The hashes were recorded before the train step was rewritten for speed
+The CLI hashes were recorded before the train step was rewritten for speed
 (branch-free ReLU, chunked in-place SGD, persistent gradient buffers).  A
 change to the step that alters any bit of a weight, a logged metric or the
 rendered curve changes one of them.  Dense(256->160) has more weights than
 one SGD chunk, so the chunk boundary is part of what is pinned.
+
+The conv hash was recorded before the conv path was rewritten (offset-view
+pooling, blocked im2col, no input gradient for layer 0).  Its net has a
+first-layer conv, a later conv whose input gradient is needed, and an
+overlapping pool.
+
+None of these hashes depends on the OpenBLAS thread count; the last test
+re-runs the gates with one BLAS thread to keep it so.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import memlab
+from memlab import Dataset, TrainConfig, reshuffle_experiment, synth_images
 from memlab.cli import dispatch
 
 GATE_CFG = """\
@@ -52,3 +66,36 @@ def test_cli_artifacts_are_byte_identical(tmp_path, capsys, command):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED[command]}
     assert digests == PINNED[command]
+
+
+CONV_ARCH = "conv:4,3,1,1 relu maxpool:3,2 conv:6,3,1,0 relu maxpool:2 flatten dense:16 relu"
+CONV_PINNED = "6d190f5ee51a5da9db94dae3164cf4838ef48629c7ad1cae4451fd14154fbf67"
+
+
+def test_conv_reshuffle_parameters_are_byte_identical():
+    d = synth_images(64, 4, seed=3, size=16)
+    d = Dataset(d.samples.reshape(64, 1, 16, 16), d.labels, d.num_classes)
+    cfg = TrainConfig(epochs=3, initial_lr=0.05, batch_size=8, seed=5,
+                      monitor="train_loss")
+    ckpt, _ = reshuffle_experiment(d, CONV_ARCH, cfg, rounds=2,
+                                   epochs_per_round=3, base_seed=11)
+    h = hashlib.sha256()
+    for t in ckpt.tensors:
+        h.update(repr(t.shape).encode())
+        h.update(t.astype("<f8").tobytes())
+    assert h.hexdigest() == CONV_PINNED
+
+
+def test_gates_hold_with_one_blas_thread(tmp_path):
+    # OpenBLAS reads its thread count at import, hence a fresh interpreter
+    src = str(Path(memlab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--basetemp", str(tmp_path / "pytest"),
+         "-k", "not one_blas_thread", __file__],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert "3 passed" in run.stdout, run.stdout

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError
+from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError, Tensor
+from oracles import ReferenceConv2d, ReferenceMaxPool2d
 
 
 def rand(shape, seed):
@@ -251,6 +252,103 @@ def test_maxpool_shape_errors():
         MaxPool2d(2).output_shape((4, 4))
     with pytest.raises(ShapeError):
         MaxPool2d(5).output_shape((1, 4, 4))
+
+
+# ---------------------------------------------------------------- conv path vs oracles
+
+# a few values make ties likely; the rest cover every float, NaN included
+_POOL_VALUES = (st.sampled_from([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+                | st.floats())
+
+
+def _twin(layer, ref):
+    """ref carrying copies of layer's parameters."""
+    layer.init_params(Prng(41))
+    ref.w, ref.b = Tensor(layer.w.data), Tensor(layer.b.data)
+    return layer, ref
+
+
+def _check_pool(x, k, s, dy_of):
+    layer, ref = MaxPool2d(k, s), ReferenceMaxPool2d(k, s)
+    with np.errstate(invalid="ignore"):
+        y = layer.forward(x)
+        assert y.tobytes() == ref.forward(x).tobytes()
+        dy = dy_of(y.shape)
+        assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4), s=st.integers(1, 4))
+def test_maxpool_is_bit_identical_to_argmax_reference(data, k, s):
+    n, c = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 3))
+    h, w = data.draw(st.integers(k, k + 7)), data.draw(st.integers(k, k + 7))
+    x = data.draw(hnp.arrays(np.float64, (n, c, h, w), elements=_POOL_VALUES))
+    _check_pool(x, k, s, lambda shape: data.draw(
+        hnp.arrays(np.float64, shape, elements=_POOL_VALUES)))
+
+
+@pytest.mark.parametrize("k,s", [(2, 2), (3, 1), (3, 2), (2, 1), (3, 3), (2, 3), (1, 1)])
+def test_maxpool_matches_reference_on_dense_specials(k, s):
+    # every cell of an overlapping window sees many ties, infinities of
+    # both signs and NaNs of both signs at once
+    rng = np.random.default_rng(k * 10 + s)
+    pool = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan, 0.5])
+    for _ in range(20):
+        _check_pool(rng.choice(pool, (2, 3, 11, 10)), k, s,
+                    lambda shape: rng.choice(pool, shape))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), s=st.integers(1, 3), p=st.integers(0, 2))
+def test_conv_is_bit_identical_to_im2col_reference(data, k, s, p):
+    cin, cout = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    side = st.integers(max(1, k - 2 * p), 9)
+    shape = (data.draw(st.integers(1, 3)), cin, data.draw(side), data.draw(side))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    layer, ref = _twin(Conv2d(cin, cout, k, s, p), ReferenceConv2d(cin, cout, k, s, p))
+    y = layer.forward(x)
+    assert y.tobytes() == ref.forward(x).tobytes()
+    dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e6, 1e6)))
+    assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+    assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
+    assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), s=st.integers(1, 2), p=st.integers(0, 1))
+def test_conv_without_input_grad_keeps_param_grads(data, k, s, p):
+    side = st.integers(max(1, k - 2 * p), 8)
+    shape = (data.draw(st.integers(1, 3)), 2, data.draw(side), data.draw(side))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
+    full, lean = _twin(Conv2d(2, 3, k, s, p), Conv2d(2, 3, k, s, p))
+    y = full.forward(x)
+    lean.forward(x)
+    dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e3, 1e3)))
+    assert full.backward(dy) is not None
+    assert lean.backward(dy, input_grad=False) is None
+    assert lean.w.grad.tobytes() == full.w.grad.tobytes()
+    assert lean.b.grad.tobytes() == full.b.grad.tobytes()
+
+
+@pytest.mark.parametrize("make,x_shape", [
+    (lambda: Dense(5, 3), (4, 5)),
+    (lambda: ReLU(), (4, 5)),
+    (lambda: Flatten(), (2, 3, 4)),
+    (lambda: MaxPool2d(2, 1), (2, 3, 5, 5)),
+], ids=["dense", "relu", "flatten", "maxpool"])
+def test_backward_without_input_grad(make, x_shape):
+    full, lean = make(), make()
+    for layer in (full, lean):
+        layer.init_params(Prng(51))
+        y = layer.forward(rand(x_shape, 52))
+    dy = rand(y.shape, 53)
+    full.backward(dy)
+    assert lean.backward(dy, input_grad=False) is None
+    for a, b in zip(full.params(), lean.params()):
+        assert a.grad.tobytes() == b.grad.tobytes()
+    # the forward cache is spent either way
+    with pytest.raises(RuntimeError):
+        lean.backward(dy, input_grad=False)
 
 
 # ---------------------------------------------------------------- tokens

@@ -116,6 +116,36 @@ def test_backward_before_forward():
         net.backward(np.zeros((1, 2)))
 
 
+@pytest.mark.parametrize("arch,shape", [
+    ("conv:3,3,1,1 relu maxpool:2 conv:2,3 relu flatten dense:5 relu", (2, 10, 10)),
+    ("flatten dense:6 relu", (2, 3, 3)),
+    ("", (7,)),
+], ids=["conv", "mlp", "head-only"])
+def test_backward_skips_only_the_first_input_gradient(arch, shape):
+    net = build_network(arch, shape, 3)
+    net.initialize(seed=4)
+    asked = []
+    for layer in net.all_layers:
+        def spy(dy, input_grad=True, _inner=layer.backward):
+            asked.append(input_grad)
+            return _inner(dy, input_grad=input_grad)
+        layer.backward = spy
+    batch = rand((4,) + shape, 4000)
+    net.forward(batch)
+    grads = [g.copy() for g in net.backward(rand((4, 3), 4001))]
+    # every layer still runs backward, and only the first one is spared dx
+    assert asked == [True] * (len(net.all_layers) - 1) + [False]
+    # the parameter gradients are those of a plain full backward
+    ref = build_network(arch, shape, 3)
+    ref.initialize(seed=4)
+    ref.forward(batch)
+    d = ref.head.backward(rand((4, 3), 4001))
+    for layer in reversed(ref.layers):
+        d = layer.backward(d)
+    for a, p in zip(grads, ref.parameters()):
+        assert a.tobytes() == p.grad.tobytes()
+
+
 def test_init_streams_ignore_head_width():
     # changing the head width must not disturb the feature layers' draws
     a = build_network("flatten dense:16 relu dense:8 relu", (10,), 3)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memlab import NonFiniteError, Prng, Tensor
+from memlab import NonFiniteError, Prng, SgdMomentum, Tensor
 from memlab.nn import he_init
 
 
@@ -12,6 +12,18 @@ def test_tensor_casts_to_float64():
     assert t.data.dtype == np.float64
     assert t.shape == (2, 2)
     assert t.size == 4
+
+
+def test_tensor_copies_caller_arrays():
+    # a C-contiguous float64 input used to be kept as is, so the in-place
+    # optimizer step wrote through to the caller's array
+    a, g = np.ones(4), np.ones(4)
+    t = Tensor(a, grad=g)
+    t.grad_buffer()[:] = 5.0
+    SgdMomentum([t], lr=0.5, momentum=0.0).step()
+    assert np.array_equal(t.data, np.full(4, -1.5))
+    assert np.array_equal(a, np.ones(4))
+    assert np.array_equal(g, np.ones(4))
 
 
 def test_grad_shape_must_match():

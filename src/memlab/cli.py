@@ -25,6 +25,7 @@ from .persist import (
     phase_config,
     read_metrics_csv,
     render_config,
+    resolved_epochs,
     save_checkpoint,
     write_metrics_csv,
 )
@@ -72,6 +73,14 @@ def _emit(out_dir: str, spec: RunSpec, log=None, ckpt=None) -> None:
         emit_svg(log, os.path.join(out_dir, "plot.svg"))
     if ckpt is not None:
         save_checkpoint(ckpt, os.path.join(out_dir, "final.ckpt"))
+
+
+def _override(spec: RunSpec, flag: str, **changes) -> RunSpec:
+    """Apply a command line override; RunSpec's range checks apply to it."""
+    try:
+        return replace(spec, **changes)
+    except ValueError as e:
+        raise UsageError(f"{flag}: {e}") from None
 
 
 def _split_target(spec: RunSpec):
@@ -123,13 +132,11 @@ def _cmd_finetune(args) -> int:
 def _cmd_reshuffle(args) -> int:
     spec = parse_config(args.config)
     if args.rounds is not None:
-        if args.rounds < 1:
-            raise UsageError("--rounds must be >= 1")
-        spec = replace(spec, rounds=args.rounds)
+        spec = _override(spec, "--rounds", rounds=args.rounds)
     d = spec.data.build()
-    epochs_per_round = spec.epochs_per_round or spec.train.epochs
     ckpt, log = protocol.reshuffle_experiment(
-        d, spec.arch, spec.train, spec.rounds, epochs_per_round, spec.label_seed)
+        d, spec.arch, spec.train, spec.rounds, resolved_epochs(spec, "round"),
+        spec.label_seed)
     _emit(args.out, spec, log, ckpt)
     print(f"round  start_acc  epochs_to_{args.threshold:g}")
     for r in log.rounds():
@@ -147,9 +154,7 @@ def _cmd_compare(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds must be a comma list of integers, "
                              f"got {args.seeds!r}") from None
-        if not seeds:
-            raise UsageError("--seeds named no seeds")
-        spec = replace(spec, seeds=seeds)
+        spec = _override(spec, "--seeds", seeds=seeds)
     if spec.target is None:
         raise ConfigError("compare needs target.* dataset keys")
     source = spec.data.build()

@@ -236,14 +236,8 @@ def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> 
     return Network._walked(layers, Dense(shape[0], num_classes), input_shape, shape)
 
 
-def descriptor_of(arch: str, input_shape: tuple[int, ...], num_classes: int) -> str:
-    dims = "x".join(str(int(d)) for d in input_shape)
-    tokens = arch.split()
-    return " ".join([f"in:{dims}"] + tokens + [f"head:{num_classes}"])
-
-
 def parse_descriptor(descriptor: str) -> tuple[str, tuple[int, ...], int]:
-    """Inverse of descriptor_of: (arch tokens, input shape, num classes)."""
+    """Inverse of Network.descriptor: (arch tokens, input shape, num classes)."""
     tokens = descriptor.split()
     if len(tokens) < 2 or not tokens[0].startswith("in:") \
             or not tokens[-1].startswith("head:"):

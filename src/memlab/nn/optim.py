@@ -33,6 +33,9 @@ class TrainConfig:
     monitor: str = "val_accuracy"
 
     def __post_init__(self):
+        for name in ("initial_lr", "momentum", "decay_factor", "min_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.initial_lr <= 0:

@@ -8,8 +8,11 @@ with hard errors on unknown keys.
 
 from __future__ import annotations
 
+import math
+import re
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,20 +174,45 @@ def read_metrics_csv(path) -> MetricsLog:
 # run configuration files
 
 
+_KINDS = ("synth_images", "synth_blobs", "idx")
+_SYNTH = _KINDS[:2]
+
+
+def _require(obj, ok, rule: str, *names: str) -> None:
+    """Range check whose message starts with the field name, for blame."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _u64(value: int) -> bool:
+    return 0 <= value < 2**64
+
+
 @dataclass
 class DatasetSpec:
-    """One dataset selection; kind decides which other fields apply."""
+    """One dataset selection; kind decides which other fields apply.
+
+    The kinds column of _SCHEMA names the fields each kind uses.
+    """
 
     kind: str = ""
     n: int = 1000
     classes: int = 10
     seed: int = 0
-    size: int = 28  # synth_images
-    dim: int = 16  # synth_blobs
-    spread: float = 0.5  # synth_blobs
-    images: str = ""  # idx
-    labels: str = ""  # idx
+    size: int = 28
+    dim: int = 16
+    spread: float = 0.5
+    images: str = ""
+    labels: str = ""
     take: int = 0  # optional subset after load; 0 = all
+
+    def __post_init__(self):
+        _require(self, lambda v: v >= 1, ">= 1", "n", "classes", "size", "dim")
+        _require(self, lambda v: v >= 0, ">= 0", "take")
+        _require(self, lambda v: 0 < v < math.inf, "positive and finite", "spread")
+        _require(self, _u64, "in [0, 2**64)", "seed")
 
     def build(self) -> Dataset:
         if self.kind == "synth_images":
@@ -210,68 +238,87 @@ class RunSpec:
     target: DatasetSpec | None = None
     rounds: int = 4
     epochs_per_round: int = 0  # 0 = train.epochs
-    label_seed: int = 0
+    label_seed: int = 0  # a config without it uses train.seed
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     train_fraction: float = 0.8
     pre_epochs: int = 0  # 0 = train.epochs
     ft_epochs: int = 0  # 0 = train.epochs
     checkpoint: str = ""
 
-
-_DATASET_KEYS = {f.name for f in fields(DatasetSpec)}
-_INT_KEYS = {"epochs", "patience", "batch_size", "seed", "rounds",
-             "epochs_per_round", "label_seed", "pre_epochs", "ft_epochs"}
-_REAL_KEYS = {"lr", "momentum", "decay", "min_lr", "train_fraction"}
-_TEXT_KEYS = {"arch", "monitor", "checkpoint"}
-_LIST_KEYS = {"seeds"}
-
-# TrainConfig field name -> config key, for blaming the right line on
-# range errors raised by TrainConfig itself
-_CFG_KEY_OF = {"epochs": "epochs", "initial_lr": "lr", "momentum": "momentum",
-               "patience": "patience", "decay_factor": "decay",
-               "min_lr": "min_lr", "batch_size": "batch_size", "seed": "seed",
-               "monitor": "monitor"}
+    def __post_init__(self):
+        _require(self, lambda v: v >= 1, ">= 1", "rounds")
+        _require(self, lambda v: v >= 0, ">= 0",
+                 "epochs_per_round", "pre_epochs", "ft_epochs")
+        _require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
+        _require(self, _u64, "in [0, 2**64)", "label_seed")
+        _require(self, lambda v: v and all(map(_u64, v)),
+                 "at least one seed, each in [0, 2**64)", "seeds")
 
 
-def _known_key(key: str) -> bool:
-    if key in _INT_KEYS or key in _REAL_KEYS or key in _TEXT_KEYS \
-            or key in _LIST_KEYS:
-        return True
-    prefix, _, rest = key.partition(".")
-    return prefix in ("data", "target") and rest in _DATASET_KEYS
+class _Key(NamedTuple):
+    key: str  # dataset keys go under "data." and "target."
+    owner: type
+    field: str
+    kinds: tuple[str, ...] = ()  # dataset kinds that use the field
+    if_set: bool = False  # echoed only when not the default
 
-
-def _parse_value(key: str, raw: str, lineno: int):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _REAL_KEYS:
-            return float(raw)
-        if key in _LIST_KEYS:
+    def parse(self, raw: str):
+        """The field's type is the type of its default; no default is text."""
+        f = next(f for f in fields(self.owner) if f.name == self.field)
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if isinstance(default, list):
             return [int(p) for p in raw.split(",") if p.strip() != ""]
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} value {raw!r}", line=lineno) from None
-    return raw
+        return type(default)(raw) if isinstance(default, (int, float)) else raw
 
 
-def _dataset_value(key: str, raw: str, lineno: int):
-    try:
-        if key in ("n", "classes", "seed", "size", "dim", "take"):
-            return int(raw)
-        if key == "spread":
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {key} value {raw!r}", line=lineno) from None
-    return raw
+# The run config schema: every key, the field it sets, and the dataset
+# kinds that use it, in echo order.
+_SCHEMA = (
+    _Key("kind", DatasetSpec, "kind", _KINDS),
+    _Key("images", DatasetSpec, "images", ("idx",)),
+    _Key("labels", DatasetSpec, "labels", ("idx",)),
+    _Key("n", DatasetSpec, "n", _SYNTH),
+    _Key("classes", DatasetSpec, "classes", _SYNTH),
+    _Key("seed", DatasetSpec, "seed", _SYNTH),
+    _Key("size", DatasetSpec, "size", ("synth_images",)),
+    _Key("dim", DatasetSpec, "dim", ("synth_blobs",)),
+    _Key("spread", DatasetSpec, "spread", ("synth_blobs",)),
+    _Key("take", DatasetSpec, "take", _KINDS, if_set=True),
+    _Key("arch", RunSpec, "arch"),
+    _Key("epochs", TrainConfig, "epochs"),
+    _Key("lr", TrainConfig, "initial_lr"),
+    _Key("momentum", TrainConfig, "momentum"),
+    _Key("patience", TrainConfig, "patience"),
+    _Key("decay", TrainConfig, "decay_factor"),
+    _Key("min_lr", TrainConfig, "min_lr"),
+    _Key("batch_size", TrainConfig, "batch_size"),
+    _Key("seed", TrainConfig, "seed"),
+    _Key("monitor", TrainConfig, "monitor"),
+    _Key("rounds", RunSpec, "rounds"),
+    _Key("epochs_per_round", RunSpec, "epochs_per_round"),
+    _Key("label_seed", RunSpec, "label_seed"),
+    _Key("seeds", RunSpec, "seeds"),
+    _Key("train_fraction", RunSpec, "train_fraction"),
+    _Key("pre_epochs", RunSpec, "pre_epochs"),
+    _Key("ft_epochs", RunSpec, "ft_epochs"),
+    _Key("checkpoint", RunSpec, "checkpoint", if_set=True),
+)
+_BLOCKS = ("data.", "target.")
+_ROWS = {p + k.key: k for k in _SCHEMA for p in (_BLOCKS if k.kinds else ("",))}
+
+# "#" opens a comment at the start of a line or after whitespace only
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def parse_config(path) -> RunSpec:
     """Parse and fully resolve a run config.
 
-    Grammar: one `key = value` per line, `#` starts a comment, blank lines
-    ignored.  Unknown keys, duplicate keys and unparsable values are hard
-    errors naming the line.  Defaults follow the standard training recipe
-    (epochs 200, lr 0.1, momentum 0.9, patience 10).
+    Grammar: one `key = value` per line; `#` at the start of a line or
+    after whitespace starts a comment; blank lines ignored.  Unknown keys,
+    duplicate keys, dataset keys the block's kind does not use, and
+    unparsable or out-of-range values are hard errors naming the line.
+    An absent key takes its field's dataclass default, except label_seed,
+    which defaults to seed.
     """
     with open(path, "r", encoding="utf-8") as f:
         raw_lines = f.read().splitlines()
@@ -279,120 +326,71 @@ def parse_config(path) -> RunSpec:
     values: dict[str, object] = {}
     where: dict[str, int] = {}
     for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.sub("", raw).strip()
         if not line:
             continue
         key, eq, value = (p.strip() for p in line.partition("="))
         if not eq or not key:
             raise ConfigError("expected 'key = value'", line=lineno)
-        if not _known_key(key):
+        if key not in _ROWS:
             raise ConfigError(f"unknown key {key!r}", line=lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key!r}", line=lineno)
-        prefix, _, rest = key.partition(".")
-        if prefix in ("data", "target") and rest:
-            values[key] = _dataset_value(rest, value, lineno)
-        else:
-            values[key] = _parse_value(key, value, lineno)
+        try:
+            values[key] = _ROWS[key].parse(value)
+        except ValueError:
+            raise ConfigError(f"cannot parse {key} value {value!r}",
+                              line=lineno) from None
         where[key] = lineno
 
-    def dataset_spec(prefix: str) -> DatasetSpec | None:
-        picked = {k.split(".", 1)[1]: v for k, v in values.items()
-                  if k.startswith(prefix + ".")}
-        if not picked:
-            return None
+    def build(owner: type, prefix: str = "", **given):
+        key_of = {k.field: prefix + k.key for k in _SCHEMA if k.owner is owner}
+        kwargs = {f: values[key] for f, key in key_of.items() if key in values}
         try:
-            return DatasetSpec(**picked)
-        except TypeError:
-            raise ConfigError(f"bad {prefix} dataset keys") from None
+            return owner(**kwargs, **given)
+        except ValueError as e:
+            blamed = key_of.get(str(e).split(" ", 1)[0])
+            raise ConfigError(str(e), line=where.get(blamed)) from None
 
-    data = dataset_spec("data")
-    if data is None or not data.kind:
+    def dataset(prefix: str) -> DatasetSpec | None:
+        keys = [k for k in values if k.startswith(prefix)]
+        if not keys:
+            return None
+        kind = values.get(prefix + "kind")
+        if kind is None:
+            raise ConfigError(f"{prefix}* keys need {prefix}kind",
+                              line=where[keys[0]])
+        if kind not in _KINDS:
+            raise ConfigError(f"unknown {prefix}kind {kind!r}; expected one "
+                              f"of {', '.join(_KINDS)}", line=where[prefix + "kind"])
+        for key in keys:
+            if kind not in _ROWS[key].kinds:
+                raise ConfigError(f"{key} does not apply to kind {kind}",
+                                  line=where[key])
+        return build(DatasetSpec, prefix)
+
+    data = dataset("data.")
+    if data is None:
         raise ConfigError("missing required key 'data.kind'")
     if "arch" not in values:
         raise ConfigError("missing required key 'arch'")
-
-    cfg_kwargs = {}
-    for field_name, key in _CFG_KEY_OF.items():
-        if key in values:
-            cfg_kwargs[field_name] = values[key]
-    try:
-        cfg = TrainConfig(**cfg_kwargs)
-    except ValueError as e:
-        for field_name, key in _CFG_KEY_OF.items():
-            if f"{field_name} " in str(e) and key in where:
-                raise ConfigError(str(e), line=where[key]) from None
-        raise ConfigError(str(e)) from None
-
-    spec = RunSpec(
-        data=data,
-        arch=str(values["arch"]),
-        train=cfg,
-        target=dataset_spec("target"),
-        rounds=int(values.get("rounds", 4)),
-        epochs_per_round=int(values.get("epochs_per_round", 0)),
-        label_seed=int(values.get("label_seed", cfg.seed)),
-        seeds=list(values.get("seeds", [0, 1, 2, 3, 4])),
-        train_fraction=float(values.get("train_fraction", 0.8)),
-        pre_epochs=int(values.get("pre_epochs", 0)),
-        ft_epochs=int(values.get("ft_epochs", 0)),
-        checkpoint=str(values.get("checkpoint", "")),
-    )
-    if spec.rounds < 1:
-        raise ConfigError("rounds must be >= 1",
-                          line=where.get("rounds"))
-    if not 0.0 < spec.train_fraction < 1.0:
-        raise ConfigError("train_fraction must be in (0, 1)",
-                          line=where.get("train_fraction"))
-    if not spec.seeds:
-        raise ConfigError("seeds must name at least one seed",
-                          line=where.get("seeds"))
-    return spec
-
-
-def _dataset_lines(prefix: str, d: DatasetSpec) -> list[str]:
-    lines = [f"{prefix}.kind = {d.kind}"]
-    if d.kind == "idx":
-        lines += [f"{prefix}.images = {d.images}", f"{prefix}.labels = {d.labels}"]
-    else:
-        lines += [f"{prefix}.n = {d.n}", f"{prefix}.classes = {d.classes}",
-                  f"{prefix}.seed = {d.seed}"]
-        if d.kind == "synth_images":
-            lines.append(f"{prefix}.size = {d.size}")
-        else:
-            lines += [f"{prefix}.dim = {d.dim}", f"{prefix}.spread = {d.spread}"]
-    if d.take:
-        lines.append(f"{prefix}.take = {d.take}")
-    return lines
+    train = build(TrainConfig)
+    values.setdefault("label_seed", train.seed)
+    return build(RunSpec, data=data, train=train, target=dataset("target."))
 
 
 def render_config(spec: RunSpec) -> str:
     """Resolved-config echo: every value spelled out, reparses to ``spec``."""
-    cfg = spec.train
-    lines = _dataset_lines("data", spec.data)
-    if spec.target is not None:
-        lines += _dataset_lines("target", spec.target)
-    lines += [
-        f"arch = {spec.arch}",
-        f"epochs = {cfg.epochs}",
-        f"lr = {cfg.initial_lr!r}",
-        f"momentum = {cfg.momentum!r}",
-        f"patience = {cfg.patience}",
-        f"decay = {cfg.decay_factor!r}",
-        f"min_lr = {cfg.min_lr!r}",
-        f"batch_size = {cfg.batch_size}",
-        f"seed = {cfg.seed}",
-        f"monitor = {cfg.monitor}",
-        f"rounds = {spec.rounds}",
-        f"epochs_per_round = {spec.epochs_per_round}",
-        f"label_seed = {spec.label_seed}",
-        f"seeds = {','.join(str(s) for s in spec.seeds)}",
-        f"train_fraction = {spec.train_fraction!r}",
-        f"pre_epochs = {spec.pre_epochs}",
-        f"ft_epochs = {spec.ft_epochs}",
-    ]
-    if spec.checkpoint:
-        lines.append(f"checkpoint = {spec.checkpoint}")
+    rows = [(p + k.key, d, k) for p, d in zip(_BLOCKS, (spec.data, spec.target))
+            if d is not None for k in _SCHEMA if d.kind in k.kinds]
+    rows += [(k.key, spec.train if k.owner is TrainConfig else spec, k)
+             for k in _SCHEMA if not k.kinds]
+    lines = []
+    for key, obj, k in rows:
+        value = getattr(obj, k.field)
+        if value or not k.if_set:
+            text = ",".join(map(str, value)) if isinstance(value, list) else value
+            lines.append(f"{key} = {text}")
     return "\n".join(lines) + "\n"
 
 

@@ -10,8 +10,6 @@ from global state.
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -357,16 +355,6 @@ def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
             base_log.data_order_fingerprint, ft_log.data_order_fingerprint)
 
 
-def thread_budget() -> int:
-    """Worker cap for compare_transfer, from MEMLAB_THREADS (default 1)."""
-    raw = os.environ.get("MEMLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"MEMLAB_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
-
-
 def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
                      pre_cfg: TrainConfig, ft_cfg: TrainConfig,
                      seeds: list[int],
@@ -376,8 +364,7 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
 
     Within a pair everything except initialization is shared: same seed,
     config, data and minibatch order (certified by equal data-order
-    fingerprints).  Pairs run independently, so they may execute on up to
-    MEMLAB_THREADS workers; results aggregate in seed order either way.
+    fingerprints).  Pairs run one after another, in seed order.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -385,20 +372,10 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
         raise ConfigError("compare needs at least one fine-tune epoch: each "
                           "arm is scored by its last validation epoch")
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
-
-    def job(seed):
-        return _transfer_pair(source_d, t_train, t_val, arch,
-                              pre_cfg, ft_cfg, seed)
-
-    workers = min(thread_budget(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, seeds))
-    else:
-        outcomes = [job(s) for s in seeds]
-
     report = TransferReport(list(seeds), [], [])
-    for base_acc, ft_acc, base_fp, ft_fp in outcomes:
+    for seed in seeds:
+        base_acc, ft_acc, base_fp, ft_fp = _transfer_pair(
+            source_d, t_train, t_val, arch, pre_cfg, ft_cfg, seed)
         if base_fp != ft_fp:
             raise RuntimeError(
                 "paired runs consumed different data orders; pairing is broken"

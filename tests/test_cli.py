@@ -3,6 +3,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
+from test_persist import BAD_CONFIGS
 
 from memlab.cli import dispatch
 
@@ -173,8 +174,10 @@ def test_compare_seed_override(tmp_path, capsys):
                      "--seeds", "5"]) == 0
     report = (out / "report.csv").read_text().splitlines()
     assert len(report) == 2 and report[1].startswith("5,")
-    assert dispatch(["compare", "--config", cfg, "--out", str(out),
-                     "--seeds", "a,b"]) == 1
+    for bad in ("a,b", "-1", ",", str(2**64)):
+        assert dispatch(["compare", "--config", cfg, "--out", str(out),
+                         "--seeds", bad]) == 1
+        assert "usage error: --seeds" in capsys.readouterr().err
 
 
 def test_compare_needs_target(tmp_path, capsys):
@@ -189,6 +192,15 @@ def test_bad_config_exits_two(tmp_path, capsys):
     assert dispatch(["pretrain", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, line, message", BAD_CONFIGS,
+                         ids=[t.splitlines()[line - 1] for t, line, _ in BAD_CONFIGS])
+def test_bad_value_exits_two_naming_its_line(tmp_path, capsys, text, line, message):
+    cfg = write_cfg(tmp_path, text)
+    assert dispatch(["compare", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: ")
 
 
 def test_missing_data_file_exits_two(tmp_path, capsys):

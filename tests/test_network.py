@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from memlab import Prng, ShapeError, build_network, network_from_descriptor
-from memlab.nn import Conv2d, Dense, Flatten, Network, descriptor_of, parse_descriptor
+from memlab.nn import Conv2d, Dense, Flatten, Network, parse_descriptor
 
 
 def rand(shape, seed):
@@ -20,9 +20,9 @@ def test_descriptor_round_trip():
 
 
 def test_descriptor_of_and_parse():
-    desc = descriptor_of("conv:8,3 relu flatten", (1, 28, 28), 5)
+    desc = build_network("conv:8,3 relu flatten", (1, 28, 28), 5).descriptor
     arch, shape, classes = parse_descriptor(desc)
-    assert arch == "conv:8,3 relu flatten"
+    assert arch == "conv:8,3,1,0 relu flatten"
     assert shape == (1, 28, 28)
     assert classes == 5
 

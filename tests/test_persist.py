@@ -1,17 +1,21 @@
 """Checkpoint binary format, metrics CSV, and run config files."""
 
+import string
 import struct
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memlab import (BadMagicError, Checkpoint, ConfigError, DatasetSpec,
-                    EpochRecord, MetricsLog, NonFiniteError, ShapeError,
-                    TrainConfig, TruncatedError, VersionError, build_network,
-                    load_checkpoint, load_idx, parse_config, read_metrics_csv,
-                    render_config, save_checkpoint, split, synth_blobs,
-                    synth_images, write_idx, write_metrics_csv)
+                    EpochRecord, MetricsLog, NonFiniteError, RunSpec,
+                    ShapeError, TrainConfig, TruncatedError, VersionError,
+                    build_network, load_checkpoint, load_idx, parse_config,
+                    read_metrics_csv, render_config, save_checkpoint, split,
+                    synth_blobs, synth_images, write_idx, write_metrics_csv)
 from memlab.data import SplitSpec
+from memlab.nn import MONITORS
 from memlab.persist import (CSV_HEADER, format_real, phase_config,
                             resolved_epochs)
 
@@ -171,6 +175,49 @@ def write_config(tmp_path, text):
     return p
 
 
+BLOBS = "data.kind = synth_blobs\narch = flatten\n"
+IMAGES = "data.kind = synth_images\narch = flatten\n"
+U64_END = str(2**64)
+
+# Configs that must fail to parse: (text, line to blame, message part).
+BAD_CONFIGS = [
+    (BLOBS + "data.n = 0\n", 3, "n must be >= 1"),
+    (BLOBS + "data.classes = 0\n", 3, "classes must be >= 1"),
+    (IMAGES + "data.size = 0\n", 3, "size must be >= 1"),
+    (BLOBS + "data.dim = 0\n", 3, "dim must be >= 1"),
+    (BLOBS + "data.take = -1\n", 3, "take must be >= 0"),
+    (BLOBS + "data.spread = 0\n", 3, "spread must be positive"),
+    (BLOBS + "data.spread = inf\n", 3, "spread must be positive"),
+    (BLOBS + "data.seed = -1\n", 3, "seed must be in"),
+    (BLOBS + f"data.seed = {U64_END}\n", 3, "seed must be in"),
+    (BLOBS + "label_seed = -3\n", 3, "label_seed must be in"),
+    (BLOBS + f"label_seed = {U64_END}\n", 3, "label_seed must be in"),
+    (BLOBS + "seeds = -1\n", 3, "seeds must be"),
+    (BLOBS + f"seeds = 0,{U64_END}\n", 3, "seeds must be"),
+    (BLOBS + "epochs_per_round = -1\n", 3, "epochs_per_round must be >= 0"),
+    (BLOBS + "pre_epochs = -1\n", 3, "pre_epochs must be >= 0"),
+    (BLOBS + "ft_epochs = -1\n", 3, "ft_epochs must be >= 0"),
+    (BLOBS + "lr = nan\n", 3, "initial_lr must be finite"),
+    (BLOBS + "lr = inf\n", 3, "initial_lr must be finite"),
+    (BLOBS + "min_lr = nan\n", 3, "min_lr must be finite"),
+    (BLOBS + "decay = nan\n", 3, "decay_factor must be finite"),
+    (BLOBS + "seed = -1\n", 3, "seed must fit"),
+    (BLOBS + "train_fraction = nan\n", 3, "train_fraction must be in"),
+    (IMAGES + "data.dim = 4\n", 3, "data.dim does not apply to kind synth_images"),
+    ("data.kind = idx\ndata.n = 5\narch = flatten\n", 2, "data.n does not apply"),
+    (BLOBS + "target.n = 5\ntarget.classes = 2\n", 3, "need target.kind"),
+    (BLOBS + "target.n = 5\ntarget.kind = mnist\n", 4, "unknown target.kind"),
+    ("data.kind = synth_blob\narch = flatten\n", 1, "unknown data.kind"),
+]
+
+
+@pytest.mark.parametrize("text, line, message", BAD_CONFIGS,
+                         ids=[t.splitlines()[line - 1] for t, line, _ in BAD_CONFIGS])
+def test_bad_config_blames_its_line(tmp_path, text, line, message):
+    with pytest.raises(ConfigError, match=f"^line {line}: .*{message}"):
+        parse_config(write_config(tmp_path, text))
+
+
 class TestParseConfig:
     def test_minimal_config_gets_standard_defaults(self, tmp_path):
         p = write_config(tmp_path, "data.kind = synth_blobs\narch = flatten\n")
@@ -191,9 +238,11 @@ class TestParseConfig:
             "\n"
             "data.kind = synth_blobs  # flat vectors\n"
             "arch = flatten\n"
-            "epochs = 5\n"
+            "epochs = 5\t# after a tab\n"
+            "checkpoint = a#b\n"
         ))
-        assert parse_config(p).train.epochs == 5
+        spec = parse_config(p)
+        assert (spec.train.epochs, spec.checkpoint) == (5, "a#b")
 
     def test_range_error_blames_its_line(self, tmp_path):
         p = write_config(tmp_path,
@@ -275,6 +324,179 @@ class TestParseConfig:
         spec = parse_config(p)
         echoed = write_config(tmp_path, render_config(spec))
         assert parse_config(echoed) == spec
+
+
+# Echo goldens: every kind, target blocks, take and checkpoint.  The
+# expected text was recorded from the hand-listed renderer that the schema
+# replaced; config.echo must keep these bytes.
+GOLDEN_IMAGES_TO_BLOBS = ("""\
+# images memorized, blobs fine-tuned
+data.kind = synth_images
+data.n = 40
+data.classes = 5
+data.seed = 9
+data.size = 8
+data.take = 30
+target.kind = synth_blobs
+target.n = 30
+target.classes = 3
+target.seed = 2
+target.dim = 4
+target.spread = 0.25
+target.take = 20
+arch = flatten dense:8 relu
+epochs = 6
+lr = 0.05
+momentum = 0.5
+patience = 3
+decay = 0.5
+min_lr = 0.0001
+batch_size = 16
+seed = 11
+monitor = train_loss
+rounds = 2
+epochs_per_round = 3
+seeds = 4,0,7
+train_fraction = 0.75
+pre_epochs = 2
+ft_epochs = 5
+checkpoint = runs/pre/final.ckpt
+""", """\
+data.kind = synth_images
+data.n = 40
+data.classes = 5
+data.seed = 9
+data.size = 8
+data.take = 30
+target.kind = synth_blobs
+target.n = 30
+target.classes = 3
+target.seed = 2
+target.dim = 4
+target.spread = 0.25
+target.take = 20
+arch = flatten dense:8 relu
+epochs = 6
+lr = 0.05
+momentum = 0.5
+patience = 3
+decay = 0.5
+min_lr = 0.0001
+batch_size = 16
+seed = 11
+monitor = train_loss
+rounds = 2
+epochs_per_round = 3
+label_seed = 11
+seeds = 4,0,7
+train_fraction = 0.75
+pre_epochs = 2
+ft_epochs = 5
+checkpoint = runs/pre/final.ckpt
+""")
+
+GOLDEN_IDX_TO_IMAGES = ("""\
+data.kind = idx
+data.images = corpus/train-images.idx
+data.labels = corpus/train-labels.idx
+data.take = 100
+target.kind = synth_images
+target.n = 50
+target.classes = 10
+target.seed = 3
+arch = conv:4,3 relu maxpool:2 flatten
+label_seed = 5
+checkpoint = pre.ckpt
+""", """\
+data.kind = idx
+data.images = corpus/train-images.idx
+data.labels = corpus/train-labels.idx
+data.take = 100
+target.kind = synth_images
+target.n = 50
+target.classes = 10
+target.seed = 3
+target.size = 28
+arch = conv:4,3 relu maxpool:2 flatten
+epochs = 200
+lr = 0.1
+momentum = 0.9
+patience = 10
+decay = 0.1
+min_lr = 1e-05
+batch_size = 32
+seed = 0
+monitor = val_accuracy
+rounds = 4
+epochs_per_round = 0
+label_seed = 5
+seeds = 0,1,2,3,4
+train_fraction = 0.8
+pre_epochs = 0
+ft_epochs = 0
+checkpoint = pre.ckpt
+""")
+
+
+class TestConfigEcho:
+    @pytest.mark.parametrize("given, echoed",
+                             [GOLDEN_IMAGES_TO_BLOBS, GOLDEN_IDX_TO_IMAGES],
+                             ids=["images-to-blobs", "idx-to-images"])
+    def test_golden_echo(self, tmp_path, given, echoed):
+        assert render_config(parse_config(write_config(tmp_path, given))) == echoed
+
+
+_WORD = st.text(string.ascii_letters + string.digits + "#./:,_-", min_size=1,
+                max_size=8).filter(lambda w: not w.startswith("#"))
+_COUNT = st.integers(1, 10**6)
+_NONNEG = st.integers(0, 10**6)
+_U64 = st.integers(0, 2**64 - 1)
+
+
+def _reals(lo=0.0, hi=None, **bounds):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **bounds)
+
+
+@st.composite
+def _dataset_specs(draw):
+    """A valid DatasetSpec that sets only the fields its kind uses."""
+    kind = draw(st.sampled_from(["synth_images", "synth_blobs", "idx"]))
+    if kind == "idx":
+        used = {"images": draw(_WORD), "labels": draw(_WORD)}
+    else:
+        used = {"n": draw(_COUNT), "classes": draw(_COUNT), "seed": draw(_U64)}
+        if kind == "synth_images":
+            used["size"] = draw(_COUNT)
+        else:
+            used.update(dim=draw(_COUNT), spread=draw(_reals(exclude_min=True)))
+    return DatasetSpec(kind=kind, take=draw(_NONNEG), **used)
+
+
+_RUN_SPECS = st.builds(
+    RunSpec,
+    data=_dataset_specs(),
+    arch=st.lists(_WORD, max_size=4).map(" ".join),
+    train=st.builds(
+        TrainConfig, epochs=_NONNEG, initial_lr=_reals(exclude_min=True),
+        momentum=_reals(0.0, 1.0, exclude_max=True), patience=_COUNT,
+        decay_factor=_reals(0.0, 1.0, exclude_min=True, exclude_max=True),
+        min_lr=_reals(exclude_min=True), batch_size=_COUNT, seed=_U64,
+        monitor=st.sampled_from(MONITORS)),
+    target=st.none() | _dataset_specs(),
+    rounds=_COUNT, epochs_per_round=_NONNEG, label_seed=_U64,
+    seeds=st.lists(_U64, min_size=1, max_size=4),
+    train_fraction=_reals(0.0, 1.0, exclude_min=True, exclude_max=True),
+    pre_epochs=_NONNEG, ft_epochs=_NONNEG,
+    checkpoint=st.just("") | _WORD,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_RUN_SPECS)
+def test_render_then_parse_is_identity(tmp_path_factory, spec):
+    p = tmp_path_factory.getbasetemp() / "echo.cfg"
+    p.write_text(render_config(spec), encoding="utf-8")
+    assert parse_config(p) == spec
 
 
 class TestDatasetSpec:

@@ -11,7 +11,7 @@ from memlab import (ConfigError, EpochRecord, MetricsLog, ShapeError,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
                     synth_blobs, synth_images, train, write_metrics_csv)
-from memlab.protocol import shuffle_seed, thread_budget
+from memlab.protocol import shuffle_seed
 
 
 def blob_cfg(**kw):
@@ -321,17 +321,6 @@ class TestCompareTransfer:
         with pytest.raises(ValueError):
             compare_transfer(d, d, "", blob_cfg(), blob_cfg(), seeds=[])
 
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        source = synth_blobs(48, 5, 6, 0.5, seed=10)
-        target = synth_blobs(40, 3, 6, 0.5, seed=11)
-        args = (source, target, "", blob_cfg(epochs=1), blob_cfg(epochs=1))
-        monkeypatch.setenv("MEMLAB_THREADS", "1")
-        serial = compare_transfer(*args, seeds=[0, 1])
-        monkeypatch.setenv("MEMLAB_THREADS", "2")
-        pooled = compare_transfer(*args, seeds=[0, 1])
-        assert pooled.baseline == serial.baseline
-        assert pooled.pretrained == serial.pretrained
-
     def test_report_statistics(self):
         report = TransferReport([0, 1], [0.5, 0.6], [0.7, 0.55])
         assert report.differences == pytest.approx([0.2, -0.05])
@@ -341,16 +330,3 @@ class TestCompareTransfer:
             float(np.std([0.2, -0.05], ddof=1)))
         single = TransferReport([0], [0.5], [0.6])
         assert single.std_difference == 0.0
-
-
-class TestThreadBudget:
-    def test_defaults_and_parsing(self, monkeypatch):
-        monkeypatch.delenv("MEMLAB_THREADS", raising=False)
-        assert thread_budget() == 1
-        monkeypatch.setenv("MEMLAB_THREADS", "4")
-        assert thread_budget() == 4
-        monkeypatch.setenv("MEMLAB_THREADS", "0")
-        assert thread_budget() == 1
-        monkeypatch.setenv("MEMLAB_THREADS", "three")
-        with pytest.raises(ConfigError):
-            thread_budget()

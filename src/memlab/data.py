@@ -14,11 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, TruncatedError
+from .errors import BadMagicError, CountMismatchError, MemlabError, TruncatedError
 from .prng import Prng, splitmix64
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+
+# bytes of corpus rows the synthetic generators build per block: they write
+# the corpus in place and every temporary is about one block, so a build
+# peaks at the corpus plus a few blocks, and those fit the per-core L2
+_ROWS_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -143,6 +148,9 @@ def write_idx(d: Dataset, images_path, labels_path) -> None:
     """Write a dataset of (n, H, W) images in [0, 1] as an IDX pair."""
     if len(d.feature_shape) != 2:
         raise ValueError(f"IDX images must be (n, H, W), got {d.samples.shape}")
+    top = int(d.labels.max())
+    if top > 255:
+        raise MemlabError(f"IDX labels are one byte: label {top} is above 255")
     pixels = np.clip(np.rint(d.samples * 255.0), 0, 255).astype(np.uint8)
     n, h, w = pixels.shape
     with open(images_path, "wb") as f:
@@ -151,6 +159,12 @@ def write_idx(d: Dataset, images_path, labels_path) -> None:
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
         f.write(d.labels.astype(np.uint8).tobytes())
+
+
+def _row_blocks(n: int, row_bytes: int):
+    """(lo, hi) bounds of the row blocks a corpus of n rows is built in."""
+    step = max(1, _ROWS_BLOCK_BYTES // row_bytes)
+    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
 
 
 def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
@@ -165,8 +179,12 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
     rng = Prng(seed)
     centers = rng.fill_gaussian(num_classes * dim).reshape(num_classes, dim)
     labels = rng.fill_below(n, num_classes)
-    noise = rng.fill_gaussian(n * dim).reshape(n, dim)
-    return Dataset(centers[labels] + spread * noise, labels, num_classes)
+    samples = np.empty((n, dim))
+    # the noise of rows [lo, hi) is that range of one fill_gaussian(n * dim)
+    for lo, hi in _row_blocks(n, 8 * dim):
+        noise = rng.gaussian_range(n * dim, lo * dim, hi * dim).reshape(hi - lo, dim)
+        np.add(centers[labels[lo:hi]], spread * noise, out=samples[lo:hi])
+    return Dataset(samples, labels, num_classes)
 
 
 def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
@@ -191,32 +209,40 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
     rng = Prng(seed)
     labels = rng.fill_below(n, num_classes)
 
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    # per-image (cy, cx, amp, sigma) of every bump, drawn in stream order
     center = (size - 1) / 2.0
     radius = 0.32 * size
-    img = np.zeros((n, size, size))
-
-    def add_bumps(cy, cx, amp, sigma):
-        nonlocal img
-        d2 = (yy[None] - cy[:, None, None]) ** 2 + (xx[None] - cx[:, None, None]) ** 2
-        img += amp[:, None, None] * np.exp(-d2 / (2.0 * sigma[:, None, None] ** 2))
-
     # class bump: angle set by the label, jittered within its sector
     angle = 2.0 * np.pi * (labels + jitter * (rng.fill_float(n) - 0.5)) / num_classes
-    add_bumps(center + radius * np.sin(angle),
-              center + radius * np.cos(angle),
-              0.7 + 0.3 * rng.fill_float(n),
-              size * (0.08 + 0.03 * rng.fill_float(n)))
+    shapes = [(center + radius * np.sin(angle),
+               center + radius * np.cos(angle),
+               0.7 + 0.3 * rng.fill_float(n),
+               size * (0.08 + 0.03 * rng.fill_float(n)))]
     # distractor bumps anywhere; at clutter=0.5 amplitude is 0.25..0.5
     for _ in range(bumps):
-        add_bumps(rng.fill_float(n) * (size - 1),
-                  rng.fill_float(n) * (size - 1),
-                  clutter * (0.5 + 0.5 * rng.fill_float(n)),
-                  size * (0.05 + 0.04 * rng.fill_float(n)))
-    img += noise * rng.fill_gaussian(n * size * size).reshape(n, size, size)
+        shapes.append((rng.fill_float(n) * (size - 1),
+                       rng.fill_float(n) * (size - 1),
+                       clutter * (0.5 + 0.5 * rng.fill_float(n)),
+                       size * (0.05 + 0.04 * rng.fill_float(n))))
 
-    pixels = np.clip(np.rint(np.clip(img, 0.0, 1.0) * 255.0), 0, 255)
-    return Dataset(pixels / 255.0, labels, num_classes)
+    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    pixels = size * size
+    samples = np.empty((n, size, size))
+    for lo, hi in _row_blocks(n, 8 * pixels):
+        img = np.zeros((hi - lo, size, size))
+        for shape in shapes:
+            cy, cx, amp, sigma = (v[lo:hi, None, None] for v in shape)
+            d2 = (yy - cy) ** 2 + (xx - cx) ** 2
+            img += amp * np.exp(-d2 / (2.0 * sigma ** 2))
+        # the noise of rows [lo, hi) is that range of one fill_gaussian(n * pixels)
+        img += noise * rng.gaussian_range(n * pixels, lo * pixels,
+                                          hi * pixels).reshape(img.shape)
+        # quantize to 256 gray levels
+        np.clip(img, 0.0, 1.0, out=img)
+        img *= 255.0
+        np.rint(img, out=img)
+        np.divide(img, 255.0, out=samples[lo:hi])
+    return Dataset(samples, labels, num_classes)
 
 
 def assign_random_labels(d: Dataset, seed: int,

@@ -4,7 +4,8 @@ Every layer does three things: report its output shape for a given input
 shape (used for construction-time checking), run forward while caching what
 backward needs, and run backward filling parameter gradients and returning
 the gradient with respect to its input (None when the caller passes
-``input_grad=False``, as the network does for its first layer).
+``input_grad=False``, as the network does for its first layer with
+parameters and every layer below it).
 
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the

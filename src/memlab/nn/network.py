@@ -57,6 +57,8 @@ class Network:
             head.output_shape(feature_shape)
         except ShapeError as e:
             raise ShapeError(f"head ({head.describe()}): {e}") from None
+        self._first_params = next(i for i, layer in enumerate(self.all_layers)
+                                  if layer.params())
         self._ready = False
 
     @property
@@ -120,9 +122,10 @@ class Network:
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fill every parameter's grad; returns them in network order.
 
-        Every layer's backward runs, but the first layer (the head, when
-        there is no other) is asked for no input gradient and returns
-        None: nothing consumes the gradient with respect to the batch.
+        Every layer's backward runs, but the first layer with parameters
+        (the head, when no other has any) and the layers below it are
+        asked for no input gradient and return None: nothing consumes the
+        gradient with respect to the batch or to a parameter-free prefix.
 
         The returned arrays are the parameters' persistent grad buffers,
         not copies: the next backward overwrites them in place, so copy
@@ -132,10 +135,11 @@ class Network:
             raise RuntimeError("backward called before forward")
         self._ready = False
         d = np.asarray(dlogits, dtype=np.float64)
-        *later, first = reversed(self.all_layers)
-        for layer in later:
+        layers = self.all_layers
+        for layer in reversed(layers[self._first_params + 1:]):
             d = layer.backward(d)
-        first.backward(d, input_grad=False)
+        for layer in reversed(layers[:self._first_params + 1]):
+            d = layer.backward(d, input_grad=False)
         return [p.grad for p in self.parameters()]
 
     def state_tensors(self) -> list[np.ndarray]:

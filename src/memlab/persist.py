@@ -213,6 +213,14 @@ class DatasetSpec:
         _require(self, lambda v: v >= 0, ">= 0", "take")
         _require(self, lambda v: 0 < v < math.inf, "positive and finite", "spread")
         _require(self, _u64, "in [0, 2**64)", "seed")
+        # checks across fields name the field to blame first, then the others
+        if self.kind == "synth_blobs" and self.n < self.classes:
+            raise ValueError(f"n must be >= classes for kind synth_blobs, "
+                             f"got n={self.n}, classes={self.classes}")
+        if self.kind in _SYNTH and self.take > self.n:
+            raise ValueError(f"take must be <= n, got take={self.take}, n={self.n}")
+        if self.kind == "idx":
+            _require(self, bool, "set for kind idx", "images", "labels")
 
     def build(self) -> Dataset:
         if self.kind == "synth_images":
@@ -220,8 +228,6 @@ class DatasetSpec:
         elif self.kind == "synth_blobs":
             d = synth_blobs(self.n, self.classes, self.dim, self.spread, self.seed)
         elif self.kind == "idx":
-            if not self.images or not self.labels:
-                raise ConfigError("idx dataset needs images and labels paths")
             d = load_idx(self.images, self.labels)
         else:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
@@ -349,8 +355,10 @@ def parse_config(path) -> RunSpec:
         try:
             return owner(**kwargs, **given)
         except ValueError as e:
-            blamed = key_of.get(str(e).split(" ", 1)[0])
-            raise ConfigError(str(e), line=where.get(blamed)) from None
+            # blame the first field the message names that the config sets
+            lines = [where[key_of[word]] for word in re.findall(r"\w+", str(e))
+                     if key_of.get(word) in where]
+            raise ConfigError(str(e), line=lines[0] if lines else None) from None
 
     def dataset(prefix: str) -> DatasetSpec | None:
         keys = [k for k in values if k.startswith(prefix)]

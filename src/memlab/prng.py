@@ -16,6 +16,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# bytes of float64 output fill_gaussian draws per block: its temporaries stay
+# a few blocks in size, and those fit the per-core L2, however large n is
+_GAUSSIAN_BLOCK_BYTES = 1 << 18
+
 
 def splitmix64(seed: int) -> int:
     """First output of a splitmix64 stream seeded with ``seed``.
@@ -83,17 +87,41 @@ class Prng:
         return (self.fill_u64(n) % np.uint64(bound)).astype(np.int64)
 
     def fill_gaussian(self, n: int) -> np.ndarray:
-        """``n`` standard normal draws via Box-Muller."""
-        m = (n + 1) // 2
+        """``n`` standard normal draws via Box-Muller.
+
+        Pair i of the m = ceil(n/2) pairs takes u1 from counter i+1 and u2
+        from counter m+i+1 and gives outputs 2i (cosine) and 2i+1 (sine).
+        The draws are made in blocks by gaussian_range, so the temporaries
+        stay block-sized; the state then moves past all 2m counters.
+        """
+        out = np.empty(n)
+        step = _GAUSSIAN_BLOCK_BYTES // 8
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            out[lo:hi] = self.gaussian_range(n, lo, hi)
+        self.state = (self.state + 2 * ((n + 1) // 2) * _GOLDEN) & _MASK64
+        return out
+
+    def gaussian_range(self, total: int, lo: int, hi: int) -> np.ndarray:
+        """Elements [lo, hi) of what ``fill_gaussian(total)`` would return.
+
+        The stream is counter-based, so the range is drawn without its
+        prefix: it is the same bits, and the state does not move.
+        """
+        m = (total + 1) // 2
+        first = lo // 2
+        pairs = (hi + 1) // 2 - first
         # u1 in (0, 1] so log() is finite; u2 in [0, 1)
-        u1 = ((self.fill_u64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self.fill_u64(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        bits1 = Prng(self.state + first * _GOLDEN).fill_u64(pairs)
+        bits2 = Prng(self.state + (m + first) * _GOLDEN).fill_u64(pairs)
+        u1 = ((bits1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (bits2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        out = np.empty(2 * m, dtype=np.float64)
+        out = np.empty(2 * pairs, dtype=np.float64)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return out[lo - 2 * first:hi - 2 * first]
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of random 64-bit keys.

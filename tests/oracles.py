@@ -1,5 +1,9 @@
-"""Reference conv-path kernels: the straightforward formulations that
-nn/layers.py's Conv2d and MaxPool2d must match bit for bit.
+"""Reference kernels: the straightforward formulations that the faster
+code in memlab must match bit for bit.
+
+reference_fill_gaussian is Box-Muller over the whole stream in one shot,
+which Prng.fill_gaussian (drawing in blocks) must match in every bit and
+in the state it leaves.
 
 ReferenceConv2d builds its im2col matrix as one contiguous copy of a 6-D
 transposed window view; ReferenceMaxPool2d takes argmax over a copied
@@ -12,6 +16,18 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memlab import Conv2d, MaxPool2d
+
+
+def reference_fill_gaussian(rng, n):
+    m = (n + 1) // 2
+    u1 = ((rng.fill_u64(m) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+    u2 = (rng.fill_u64(m) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * m, dtype=np.float64)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:n]
 
 
 class ReferenceConv2d(Conv2d):

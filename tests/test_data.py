@@ -1,14 +1,17 @@
 """Dataset construction, IDX files, random labeling, reshuffling, splits."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
-                    SplitSpec, TruncatedError, assign_random_labels, load_idx,
-                    reshuffle_labels, split, splitmix64, synth_blobs,
+                    MemlabError, SplitSpec, TruncatedError, assign_random_labels,
+                    load_idx, reshuffle_labels, split, splitmix64, synth_blobs,
                     synth_images, write_idx)
+from memlab.data import _ROWS_BLOCK_BYTES
 
 CHI2_9_Q999 = 27.877  # 0.999 quantile of chi-square with 9 dof
 
@@ -99,6 +102,17 @@ class TestIdx:
         with pytest.raises(ValueError):
             write_idx(d, tmp_path / "i.idx", tmp_path / "l.idx")
 
+    def test_write_rejects_labels_above_255(self, tmp_path):
+        # uint8 labels: 299 would wrap to 43 and read back as a wrong class
+        ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+        d = Dataset(np.zeros((3, 2, 2)), [0, 299, 255], 300)
+        with pytest.raises(MemlabError, match="label 299 is above 255"):
+            write_idx(d, ip, lp)
+        assert not ip.exists() and not lp.exists()
+        top = Dataset(np.zeros((2, 2, 2)), [255, 0], 256)
+        write_idx(top, ip, lp)
+        assert np.array_equal(load_idx(ip, lp).labels, [255, 0])
+
 
 class TestDataset:
     def test_validation(self):
@@ -139,7 +153,78 @@ class TestDataset:
             "reshuffled(seed=7, round=3)"
 
 
+# sha256 of samples bytes then labels bytes, recorded before the generators
+# built their corpora in row blocks.  Shapes: the corpora the workloads
+# use, n at and around a block boundary (see test_pinned_shapes_straddle),
+# odd image sizes and dims, no distractor bumps, non-default knobs.
+IMAGE_DIGESTS = [
+    ((10000, 30, 500), {}, "505dbb6388998d0ebff50130645b21f8d2bc28dda84ca9eb751ada76451d87a8"),
+    ((128, 10, 100), {}, "8cbe25dee6db2fa0bad0cde61dd90b408d04bf653a9c90fd78716749530a459c"),
+    ((257, 7, 3), {}, "d47594699a3fc06b9b78bc1fdb8cdef92017396c54e0ad87d352232654edf088"),
+    ((1, 3, 9), {}, "7986064d30516b1e387c5aab2ab28eebc7a710f2efe098d6b81623d982da0858"),
+    ((3, 3, 11), {}, "e790dfe75bd25248f9a27c0dda609fa5dd5d516c4cd8905055fbf3256b9c64ee"),
+    ((40, 5, 1), {}, "ceafe843fcbe507741ad48c7561d2c4e4c5be76b13e28bd3482488d8a7b3ad65"),
+    ((41, 5, 1), {}, "4b793e2a18007d41126d188034241af6323dd0a563b9aa57ad8b8531c386639f"),
+    ((42, 5, 1), {}, "dd777112dad45a8de1537ccec4f61271816b670a40d127b200c8c592b246527d"),
+    ((83, 5, 1), {}, "b301436331d7dc3f04c599ed436c5b653388700647504cd4695ce2ba528484bb"),
+    ((403, 4, 5), {'size': 9}, "91aefcc601ebe4fa0c146f8ba4e27a11ef5d312306fa05cab8f856764219c6f4"),
+    ((405, 4, 5), {'size': 9}, "a78f61ba1bab8b21eb531ca3d79b40374fb71901372f43b2c6a210b2bf252910"),
+    ((5, 3, 7), {'size': 7}, "3c75b5c80ec82c6e311807b49e75e10734a28eeb028aa40cddd80d836500a736"),
+    ((1, 1, 0), {'size': 1}, "e3b99d14471310788a7260f108c984f6e24e1edce598610ca019bc296376583e"),
+    ((50, 4, 8), {'size': 12, 'bumps': 0}, "181fd436c65b9c5c5ffd8d04e9bd6a74f3d4d82f528d80992d9c1a24d5eef391"),
+    ((200, 6, 9), {'bumps': 0}, "9d199c24dfeca24076ba3a6e8c9af8e09f9d92bf2d4c94258cf25cee44783b61"),
+    ((60, 4, 10), {'size': 15, 'bumps': 3, 'noise': 0.3, 'clutter': 1.2, 'jitter': 0.9},
+     "d2f27097f7bcfec175d5982051ce2bf311910e94365c7d751d47abea326c1270"),
+]
+BLOB_DIGESTS = [
+    ((2000, 10, 8, 0.5, 0), "85726454bfebd9d0f1bb4a97ff9425750f13aa75d6848f89acfb47ce8ea973df"),
+    ((1, 1, 1, 1.0, 0), "40e2c783ec97a3e965cac2d8ae2d7b1bf46b62187df21fe87bfd6dba754eeabf"),
+    ((7, 3, 3, 2.0, 9), "03d667cf04d7f2d2ed6fa4df0ae726bdcc2e44536cda6f08a5e344b34a9c79b3"),
+    ((6552, 4, 5, 0.3, 1), "31b64b3f62e871f93e5f98ad1406a04547c01eadbffba773336f3311c9103524"),
+    ((6554, 4, 5, 0.3, 1), "75c6cb3a6df340131e90fff316c5c5e0c3a3280c7fceb252a2dbd2f7d1553568"),
+    ((42, 3, 784, 1.0, 2), "c42d2506bcb3c195e823e1c337af0895d29b1710f2af4f3ade69f65f7044cb26"),
+    ((84, 3, 784, 1.0, 2), "d018b322b8a35ad5234b90f5c804df9e1579effe2dddd0ce3324d48632e30e94"),
+]
+
+
+def corpus_digest(d):
+    return hashlib.sha256(d.samples.tobytes() + d.labels.tobytes()).hexdigest()
+
+
 class TestSynth:
+    @pytest.mark.parametrize("args, kwargs, digest", IMAGE_DIGESTS,
+                             ids=[f"{a}{k or ''}" for a, k, _ in IMAGE_DIGESTS])
+    def test_images_golden(self, args, kwargs, digest):
+        assert corpus_digest(synth_images(*args, **kwargs)) == digest
+
+    @pytest.mark.parametrize("args, digest", BLOB_DIGESTS,
+                             ids=[str(a) for a, _ in BLOB_DIGESTS])
+    def test_blobs_golden(self, args, digest):
+        assert corpus_digest(synth_blobs(*args)) == digest
+
+    @pytest.mark.parametrize("row_bytes, ns", [
+        (8 * 28 * 28, [a[0] for a, k, _ in IMAGE_DIGESTS if not k]),
+        (8 * 9 * 9, [a[0] for a, k, _ in IMAGE_DIGESTS if k.get("size") == 9]),
+        (8 * 5, [a[0] for a, _ in BLOB_DIGESTS if a[2] == 5]),
+    ])
+    def test_pinned_shapes_straddle(self, row_bytes, ns):
+        rows = _ROWS_BLOCK_BYTES // row_bytes
+        assert rows - 1 in ns and rows + 1 in ns
+
+    @pytest.mark.parametrize("build", [
+        lambda: synth_images(4000, 10, seed=1),
+        lambda: synth_blobs(4000, 10, 784, 0.5, seed=1),
+    ], ids=["images", "blobs"])
+    def test_build_peaks_near_the_corpus_size(self, build):
+        # the corpus plus a few row blocks; whole-corpus temporaries gave 3.5-4.5x
+        tracemalloc.start()
+        try:
+            d = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * d.samples.nbytes
+
     def test_blobs_shape_and_determinism(self):
         a = synth_blobs(100, 10, 16, 0.5, seed=4)
         b = synth_blobs(100, 10, 16, 0.5, seed=4)

@@ -116,12 +116,13 @@ def test_backward_before_forward():
         net.backward(np.zeros((1, 2)))
 
 
-@pytest.mark.parametrize("arch,shape", [
-    ("conv:3,3,1,1 relu maxpool:2 conv:2,3 relu flatten dense:5 relu", (2, 10, 10)),
-    ("flatten dense:6 relu", (2, 3, 3)),
-    ("", (7,)),
-], ids=["conv", "mlp", "head-only"])
-def test_backward_skips_only_the_first_input_gradient(arch, shape):
+@pytest.mark.parametrize("arch,shape,spared", [
+    ("conv:3,3,1,1 relu maxpool:2 conv:2,3 relu flatten dense:5 relu", (2, 10, 10), 1),
+    ("flatten dense:6 relu", (2, 3, 3), 2),
+    ("relu maxpool:2 flatten dense:4", (1, 4, 4), 4),
+    ("", (7,), 1),
+], ids=["conv", "mlp", "pool-then-dense", "head-only"])
+def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
     net = build_network(arch, shape, 3)
     net.initialize(seed=4)
     asked = []
@@ -133,8 +134,9 @@ def test_backward_skips_only_the_first_input_gradient(arch, shape):
     batch = rand((4,) + shape, 4000)
     net.forward(batch)
     grads = [g.copy() for g in net.backward(rand((4, 3), 4001))]
-    # every layer still runs backward, and only the first one is spared dx
-    assert asked == [True] * (len(net.all_layers) - 1) + [False]
+    # every layer still runs backward; the first one with parameters and
+    # those below it (the last `spared` asked) are spared dx
+    assert asked == [True] * (len(net.all_layers) - spared) + [False] * spared
     # the parameter gradients are those of a plain full backward
     ref = build_network(arch, shape, 3)
     ref.initialize(seed=4)

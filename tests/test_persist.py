@@ -208,6 +208,16 @@ BAD_CONFIGS = [
     (BLOBS + "target.n = 5\ntarget.classes = 2\n", 3, "need target.kind"),
     (BLOBS + "target.n = 5\ntarget.kind = mnist\n", 4, "unknown target.kind"),
     ("data.kind = synth_blob\narch = flatten\n", 1, "unknown data.kind"),
+    (BLOBS + "data.n = 2\ndata.classes = 3\n", 3, "n must be >= classes"),
+    (BLOBS + "target.kind = synth_blobs\ntarget.classes = 2000\n", 4,
+     "n must be >= classes"),
+    (IMAGES + "data.n = 20\ndata.take = 30\n", 4, "take must be <= n"),
+    (BLOBS + "target.take = 1001\ntarget.kind = synth_images\n", 3,
+     "take must be <= n"),
+    ("data.kind = idx\ndata.images = i.idx\narch = flatten\n", 1,
+     "labels must be set for kind idx"),
+    (BLOBS + "target.labels = l.idx\ntarget.kind = idx\n", 4,
+     "images must be set for kind idx"),
 ]
 
 
@@ -463,13 +473,17 @@ def _dataset_specs(draw):
     kind = draw(st.sampled_from(["synth_images", "synth_blobs", "idx"]))
     if kind == "idx":
         used = {"images": draw(_WORD), "labels": draw(_WORD)}
+        take = draw(_NONNEG)
     else:
-        used = {"n": draw(_COUNT), "classes": draw(_COUNT), "seed": draw(_U64)}
+        n = draw(_COUNT)
+        used = {"n": n, "classes": draw(_COUNT), "seed": draw(_U64)}
+        take = draw(st.integers(0, n))
         if kind == "synth_images":
             used["size"] = draw(_COUNT)
         else:
-            used.update(dim=draw(_COUNT), spread=draw(_reals(exclude_min=True)))
-    return DatasetSpec(kind=kind, take=draw(_NONNEG), **used)
+            used.update(classes=draw(st.integers(1, n)), dim=draw(_COUNT),
+                        spread=draw(_reals(exclude_min=True)))
+    return DatasetSpec(kind=kind, take=take, **used)
 
 
 _RUN_SPECS = st.builds(
@@ -523,8 +537,8 @@ class TestDatasetSpec:
         assert np.array_equal(d.samples, load_idx(ip, lp).samples)
 
     def test_idx_needs_both_paths(self):
-        with pytest.raises(ConfigError):
-            DatasetSpec(kind="idx", images="only.idx").build()
+        with pytest.raises(ValueError, match="^labels must be set for kind idx"):
+            DatasetSpec(kind="idx", images="only.idx")
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):

@@ -2,8 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import reference_fill_gaussian
 
 from memlab import Prng, derive_seed, splitmix64
+from memlab.prng import _GAUSSIAN_BLOCK_BYTES
+
+BLOCK = _GAUSSIAN_BLOCK_BYTES // 8  # draws per fill_gaussian block
 
 # Published splitmix64 test vector: first five outputs of the seed-0 stream.
 SEED0_STREAM = [
@@ -88,6 +94,28 @@ def test_gaussian_odd_count():
     even = Prng(8).fill_gaussian(10)
     odd = Prng(8).fill_gaussian(9)
     assert np.array_equal(odd, even[:9])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       n=st.sampled_from([0, 1, 2, 7, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+       | st.integers(0, 3 * BLOCK))
+def test_fill_gaussian_matches_one_shot_oracle(seed, n):
+    got, want = Prng(seed), Prng(seed)
+    assert got.fill_gaussian(n).tobytes() == reference_fill_gaussian(want, n).tobytes()
+    assert got.state == want.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), total=st.integers(1, 5000), data=st.data())
+def test_gaussian_range_is_a_slice_of_the_full_draw(seed, total, data):
+    lo = data.draw(st.integers(0, total - 1))
+    hi = data.draw(st.integers(lo + 1, total))
+    rng = Prng(seed)
+    part = rng.gaussian_range(total, lo, hi)
+    assert rng.state == Prng(seed).state
+    full = reference_fill_gaussian(Prng(seed), total)
+    assert part.tobytes() == full[lo:hi].tobytes()
 
 
 def test_permutation_is_permutation():

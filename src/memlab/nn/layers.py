@@ -24,12 +24,45 @@ from .tensor import Tensor, he_init
 # per-core L2, so the k*k strided writes into one block hit cache
 _COLS_BLOCK_BYTES = 1 << 20
 
+# OpenBLAS's threaded dgemm splits the inner dimension K into panels of at
+# most _GEMM_Q and adds their products into C in order; its single-threaded
+# dgemm splits some K differently.  With the OpenBLAS 0.3.31
+# (Haswell kernels) that numpy 2.4 bundles, x @ W changes bits with the
+# thread count exactly when K > _GEMM_Q and K % _GEMM_ALIGN != 0, and a
+# product whose K is at most _GEMM_Q is the same at any thread count.  The
+# rule belongs to that build's kernels; tests/test_layers.py holds the
+# products to equal bits at 1, 2 and 3 threads.
+_GEMM_Q = 384
+_GEMM_ALIGN = 32
+
 
 def _positive(name: str, value: int) -> int:
     value = int(value)
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b`` for 2-D operands, with the same bits at any BLAS thread count.
+
+    Where the thread count could change the bits, the product is summed over
+    the K panels of threaded dgemm, in its order: _GEMM_Q-wide panels
+    while at least 2*_GEMM_Q of K remain, then the remainder in two halves
+    (the first one the longer).  For K = 784 that is [0:384] + [384:584] +
+    [584:784].  Each panel is thread-independent, and the sum equals the
+    plain product wherever OpenBLAS threads it.
+    """
+    k = a.shape[1]
+    if k <= _GEMM_Q or k % _GEMM_ALIGN == 0:
+        return np.matmul(a, b, out=out)
+    cuts = list(range(_GEMM_Q, k - _GEMM_Q + 1, _GEMM_Q))
+    lo = cuts[-1] if cuts else 0
+    cuts += [lo + (k - lo + 1) // 2, k]
+    y = np.matmul(a[:, :cuts[0]], b[:cuts[0]], out=out)
+    for lo, hi in zip(cuts, cuts[1:]):
+        y += a[:, lo:hi] @ b[lo:hi]
+    return y
 
 
 class Layer:
@@ -95,15 +128,15 @@ class Dense(Layer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
-        y = x @ self.w.data
+        y = _matmul(x, self.w.data)
         y += self.b.data
         return y
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x = self._take_cache()
-        np.matmul(x.T, dy, out=self.w.grad_buffer())
+        _matmul(x.T, dy, out=self.w.grad_buffer())
         np.sum(dy, axis=0, out=self.b.grad_buffer())
-        return dy @ self.w.data.T if input_grad else None
+        return _matmul(dy, self.w.data.T) if input_grad else None
 
     def describe(self) -> str:
         return f"Dense({self.in_features}->{self.out_features})"
@@ -216,7 +249,7 @@ class Conv2d(Layer):
                     block[..., i, j] = src[:, i:i + s * oh:s, j:j + s * ow:s]
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        y = cols @ wmat.T
+        y = _matmul(cols, wmat.T)
         y += self.b.data
         self._cache = (cols, (n, h, w), (oh, ow))
         return np.ascontiguousarray(
@@ -227,13 +260,12 @@ class Conv2d(Layer):
         cols, (n, h, w), (oh, ow) = self._take_cache()
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
-        np.matmul(dyc.T, cols,
-                  out=self.w.grad_buffer().reshape(self.out_channels, -1))
+        _matmul(dyc.T, cols, out=self.w.grad_buffer().reshape(self.out_channels, -1))
         np.sum(dyc, axis=0, out=self.b.grad_buffer())
         if not input_grad:
             return None
         wmat = self.w.data.reshape(self.out_channels, -1)
-        dcols = (dyc @ wmat).reshape(n, oh, ow, self.in_channels, k, k)
+        dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         # scatter each kernel offset back onto the (strided) input positions
         for i in range(k):

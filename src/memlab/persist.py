@@ -207,6 +207,9 @@ class DatasetSpec:
     images: str = ""
     labels: str = ""
     take: int = 0  # optional subset after load; 0 = all
+    # config line of take, set by parse_config: an idx file's image count,
+    # which take must not exceed, is known only once build loads it
+    take_line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _require(self, lambda v: v >= 1, ">= 1", "n", "classes", "size", "dim")
@@ -231,6 +234,9 @@ class DatasetSpec:
             d = load_idx(self.images, self.labels)
         else:
             raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        if self.take > d.n:
+            raise ConfigError(f"take must be <= the {d.n} images of {self.images}, "
+                              f"got take={self.take}", line=self.take_line)
         return d.take(self.take) if self.take else d
 
 
@@ -375,7 +381,7 @@ def parse_config(path) -> RunSpec:
             if kind not in _ROWS[key].kinds:
                 raise ConfigError(f"{key} does not apply to kind {kind}",
                                   line=where[key])
-        return build(DatasetSpec, prefix)
+        return build(DatasetSpec, prefix, take_line=where.get(prefix + "take"))
 
     data = dataset("data.")
     if data is None:

@@ -9,7 +9,9 @@ from global state.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -221,6 +223,10 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
             log.append(EpochRecord(round, epoch, "val",
                                    val_metrics[0], val_metrics[1], lr_used))
         opt.lr = sched.step(_monitor_value(cfg.monitor, train_loss, val_metrics))
+    # release the grad buffers: nothing reads them once the round is over,
+    # and the next round's first backward allocates them again
+    for p in net.parameters():
+        p.zero_grad()
 
 
 def train(net: Network, train_d: Dataset, val_d: Dataset | None,
@@ -346,13 +352,128 @@ def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
 
     base_net = build_network(arch, t_train.feature_shape, t_train.num_classes)
     base_net.initialize(ft.seed)
-    _, base_log = train(base_net, t_train, t_val, ft)
+    base_log = train(base_net, t_train, t_val, ft)[1]
+    del base_net  # scored: its weights need not live through the other arm
 
-    ckpt, _ = pretrain_random(source_d, arch, pre, label_seed)
-    _, ft_log = finetune(ckpt, t_train, ft, val_d=t_val)
+    ckpt = pretrain_random(source_d, arch, pre, label_seed)[0]
+    ft_log = finetune(ckpt, t_train, ft, val_d=t_val)[1]
     # the last val record is evaluate() on the final weights of each arm
     return (base_log.final("val").accuracy, ft_log.final("val").accuracy,
             base_log.data_order_fingerprint, ft_log.data_order_fingerprint)
+
+
+# compare_transfer forks workers only while _transfer_pair runs this code: a
+# wrapper or a test double rebound in its place would see no call a child makes
+_PAIR_CODE = _transfer_pair.__code__
+
+# the OpenBLAS entry points that set its thread count: numpy's bundled
+# build first, then OpenBLAS's own 64-bit and 32-bit integer builds
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _blas_thread_setter():
+    """The function that sets the thread count of the OpenBLAS numpy
+    loaded, or None when none is found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_SET_THREADS:
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [ctypes.c_int], None
+                return fn
+    return None
+
+
+def _pair_workers(pairs: int):
+    """(worker count, BLAS thread setter) for ``pairs`` seed pairs; one
+    worker means the pairs run in this process."""
+    # imported on first use: at module level it would add about 10 ms and 0.6 MiB
+    # to every import of memlab, compare or not
+    import multiprocessing
+    if (pairs < 2 or getattr(_transfer_pair, "__code__", None) is not _PAIR_CODE
+            or not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return 1, None
+    workers = min(pairs, len(os.sched_getaffinity(0)))
+    set_threads = _blas_thread_setter() if workers > 1 else None
+    return (workers, set_threads) if set_threads is not None else (1, None)
+
+
+def _seed_error(seed: int, kind: type, message: str) -> Exception:
+    """The error a failed pair raised, of its type, naming its seed."""
+    try:
+        return kind(f"seed {seed}: {message}")
+    except Exception:  # a type that takes other arguments
+        return RuntimeError(f"seed {seed}: {kind.__name__}: {message}")
+
+
+def _pair_worker(conn, set_threads, args: tuple, seeds: list[int]) -> None:
+    """One forked worker: its seeds' pairs in order at one BLAS thread.
+
+    Sends (results, error): the 4-tuples of the pairs that finished, and
+    (type, message) of the error that stopped the next one, or None.
+    """
+    set_threads(1)
+    done, error = [], None
+    try:
+        for seed in seeds:
+            done.append(_transfer_pair(*args, seed))
+    except Exception as e:
+        error = (type(e), str(e))
+    conn.send((done, error))
+    conn.close()
+
+
+def _forked_pairs(args: tuple, seeds: list[int], workers: int,
+                  set_threads) -> list[tuple]:
+    """The pair of every seed, in seed order, from ``workers`` forked
+    processes: worker w runs seeds[w::workers].  The corpora in ``args``
+    are shared copy-on-write; only the 4-tuples come back.  The error of
+    the first seed that failed is raised, as running in order would."""
+    import multiprocessing
+    ctx = multiprocessing.get_context("fork")
+    jobs = []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_pair_worker,
+                               args=(send, set_threads, args, seeds[w::workers]))
+            proc.start()
+            send.close()
+            jobs.append((proc, recv))
+        results: list = [None] * len(seeds)
+        failed = []
+        for w, (proc, recv) in enumerate(jobs):
+            try:
+                done, error = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"the worker for seeds {seeds[w::workers]} "
+                                   f"exited with code {proc.exitcode}") from None
+            proc.join()
+            results[w:w + len(done) * workers:workers] = done
+            if error is not None:
+                failed.append((w + len(done) * workers, *error))
+        if failed:
+            i, kind, message = min(failed, key=lambda f: f[0])
+            raise _seed_error(seeds[i], kind, message)
+        return results
+    finally:
+        for proc, recv in jobs:
+            recv.close()
+            if proc.exitcode is None:  # left early: stop what still runs
+                proc.terminate()
+                proc.join()
 
 
 def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
@@ -364,7 +485,13 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
 
     Within a pair everything except initialization is shared: same seed,
     config, data and minibatch order (certified by equal data-order
-    fingerprints).  Pairs run one after another, in seed order.
+    fingerprints).  The pairs are independent, so they run in one forked
+    worker per usable core (at most one per seed), each at one BLAS
+    thread.  They run in this process, in seed order, when that makes one
+    worker, when fork or the BLAS thread count is not available, when the
+    caller is a daemonic process, or when _transfer_pair has been
+    replaced.  The report is the same either way, and an error of a pair
+    is raised with its type, naming its seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -372,10 +499,19 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
         raise ConfigError("compare needs at least one fine-tune epoch: each "
                           "arm is scored by its last validation epoch")
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
+    args = (source_d, t_train, t_val, arch, pre_cfg, ft_cfg)
+    workers, set_threads = _pair_workers(len(seeds))
+    if workers > 1:
+        pairs = _forked_pairs(args, list(seeds), workers, set_threads)
+    else:
+        pairs = []
+        for seed in seeds:
+            try:
+                pairs.append(_transfer_pair(*args, seed))
+            except Exception as e:
+                raise _seed_error(seed, type(e), str(e)) from e
     report = TransferReport(list(seeds), [], [])
-    for seed in seeds:
-        base_acc, ft_acc, base_fp, ft_fp = _transfer_pair(
-            source_d, t_train, t_val, arch, pre_cfg, ft_cfg, seed)
+    for base_acc, ft_acc, base_fp, ft_fp in pairs:
         if base_fp != ft_fp:
             raise RuntimeError(
                 "paired runs consumed different data orders; pairing is broken"

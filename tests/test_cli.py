@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from test_persist import BAD_CONFIGS
 
+from memlab import synth_images, write_idx
 from memlab.cli import dispatch
 
 BLOBS_CFG = """\
@@ -201,6 +202,24 @@ def test_bad_value_exits_two_naming_its_line(tmp_path, capsys, text, line, messa
     assert dispatch(["compare", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(f"error: line {line}: ")
+
+
+@pytest.mark.parametrize("block, command", [("data", "pretrain"),
+                                            ("target", "baseline")])
+def test_idx_take_above_its_file_blames_the_take_line(tmp_path, capsys, block,
+                                                      command):
+    d = synth_images(20, 3, seed=4, size=5)
+    write_idx(d.__class__(d.samples.reshape(20, 5, 5), d.labels, d.num_classes),
+              tmp_path / "i.idx", tmp_path / "l.idx")
+    cfg = write_cfg(tmp_path, (
+        f"{block}.kind = idx\n"
+        f"{block}.images = {tmp_path / 'i.idx'}\n"
+        f"{block}.labels = {tmp_path / 'l.idx'}\n"
+        f"{block}.take = 30\n"
+    ) + (BLOBS_CFG if block == "target" else "arch = flatten\nepochs = 1\n"))
+    assert dispatch([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 4: take must be <= the 20 images of "), err
 
 
 def test_missing_data_file_exits_two(tmp_path, capsys):

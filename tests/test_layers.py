@@ -1,12 +1,19 @@
 """Layer forward/backward against naive loop oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import memlab
 from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError, Tensor
+from memlab.nn.layers import _matmul
 from oracles import ReferenceConv2d, ReferenceMaxPool2d
 
 
@@ -361,3 +368,76 @@ def test_layer_tokens():
     assert MaxPool2d(3, 1).token() == "maxpool:3,1"
     assert ReLU().token() == "relu"
     assert Flatten().token() == "flatten"
+
+
+# ---------------------------------------------------------------- products
+
+@pytest.mark.parametrize("k, cuts", [
+    (784, [0, 384, 584, 784]),  # the first Dense of a 28x28 MLP
+    (500, [0, 250, 500]),
+    (777, [0, 384, 581, 777]),  # an odd remainder: the first half is longer
+    (1201, [0, 384, 768, 985, 1201]),
+])
+def test_matmul_sums_the_threaded_panels_in_order(k, cuts):
+    a, b = rand((9, k), 60), rand((k, 7), 61)
+    want = a[:, :cuts[1]] @ b[:cuts[1]]
+    for lo, hi in zip(cuts[1:], cuts[2:]):
+        want += a[:, lo:hi] @ b[lo:hi]
+    assert _matmul(a, b).tobytes() == want.tobytes()
+    out = np.empty((9, 7))
+    assert _matmul(a, b, out=out) is out
+    assert out.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("k", [8, 384, 416, 768, 1024])
+def test_matmul_is_one_product_where_threads_agree(k):
+    # K <= 384 or a multiple of 32: the plain product
+    a, b = rand((5, k), 62), rand((k, 3), 63)
+    assert _matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+# products over the K sweep, Dense's transposed operand, then a small
+# reshuffle whose first Dense is 784 wide; prints one sha256
+_THREAD_SWEEP = """
+import hashlib
+import numpy as np
+from memlab import TrainConfig, reshuffle_experiment, synth_images
+from memlab.nn.layers import _matmul
+
+h = hashlib.sha256()
+rng = np.random.default_rng(7)
+pool_a, pool_b = rng.standard_normal((256, 1024)), rng.standard_normal((1024, 512))
+for k in range(8, 1025, 8):
+    for m in (1, 8, 32, 44, 256):
+        for n in (10, 256, 512):
+            a = np.ascontiguousarray(pool_a[:m, :k])
+            b = np.ascontiguousarray(pool_b[:k, :n])
+            h.update(_matmul(a, b).tobytes())
+    x = np.ascontiguousarray(pool_b[:k, :32])
+    h.update(_matmul(x.T, x[:, :10]).tobytes())
+d = synth_images(96, 4, seed=3)
+cfg = TrainConfig(epochs=2, initial_lr=0.05, batch_size=40, seed=5)
+ckpt, log = reshuffle_experiment(d, "flatten dense:24 relu", cfg, rounds=2,
+                                 epochs_per_round=2, base_seed=11)
+for t in ckpt.tensors:
+    h.update(t.tobytes())
+h.update(log.data_order_fingerprint.encode())
+print(h.hexdigest())
+"""
+
+
+def test_products_agree_at_one_two_and_three_blas_threads():
+    # OpenBLAS reads its thread count at import, hence fresh interpreters;
+    # it runs at most one thread per usable core, so on a 2-core machine
+    # three threads run as two
+    src = str(Path(memlab.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2", "3"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-c", _THREAD_SWEEP], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
+        digests[threads] = run.stdout.strip()
+    assert len(set(digests.values())) == 1, digests

@@ -1,6 +1,9 @@
 """Training loop, pretrain/finetune pairing, reshuffle rounds, transfer runs."""
 
 import dataclasses
+import multiprocessing
+import os
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from memlab import (ConfigError, EpochRecord, MetricsLog, ShapeError,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
                     synth_blobs, synth_images, train, write_metrics_csv)
+from memlab import protocol
 from memlab.protocol import shuffle_seed
 
 
@@ -320,6 +324,80 @@ class TestCompareTransfer:
         d = synth_blobs(40, 3, 6, 0.5, seed=11)
         with pytest.raises(ValueError):
             compare_transfer(d, d, "", blob_cfg(), blob_cfg(), seeds=[])
+
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        source = synth_blobs(96, 5, 6, 0.5, seed=10)
+        target = synth_blobs(80, 3, 6, 0.5, seed=11)
+        args = (source, target, "flatten dense:8 relu", blob_cfg(epochs=2),
+                blob_cfg(epochs=3))
+        # two workers over three seeds: worker 0 runs seeds 5 and 7
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert protocol._pair_workers(3)[0] == 2
+        pooled = compare_transfer(*args, seeds=[5, 6, 7])
+        monkeypatch.setattr(protocol, "_pair_workers", lambda pairs: (1, None))
+        serial = compare_transfer(*args, seeds=[5, 6, 7])
+        assert pooled == serial
+        assert pooled.seeds == [5, 6, 7]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_error_keeps_its_type_and_names_the_first_seed(
+            self, monkeypatch, workers):
+        real = protocol.pretrain_random
+
+        def diverging(d, arch, cfg, label_seed):
+            # on two workers seed 6 is worker 1's first pair, seed 7 worker 0's second
+            if cfg.seed in (6, 7):
+                raise TrainingDivergedError("non-finite loss at round 1 epoch 1")
+            return real(d, arch, cfg, label_seed)
+
+        # pretrain_random is not _transfer_pair, so the pool still runs
+        monkeypatch.setattr(protocol, "pretrain_random", diverging)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)), raising=False)
+        assert protocol._pair_workers(3)[0] == workers
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        with pytest.raises(TrainingDivergedError, match=r"^seed 6: non-finite loss"):
+            compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
+                             seeds=[5, 6, 7])
+
+    @pytest.mark.parametrize("case", ["one seed", "one core", "replaced pair",
+                                      "no thread setter", "daemonic caller"])
+    def test_pairs_stay_in_process(self, monkeypatch, case):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0} if case == "one core" else {0, 1},
+                            raising=False)
+        if case == "replaced pair":
+            monkeypatch.setattr(protocol, "_transfer_pair", lambda *a: None)
+        if case == "no thread setter":
+            monkeypatch.setattr(protocol, "_BLAS_SET_THREADS", ("no_such_symbol",))
+        if case == "daemonic caller":
+            monkeypatch.setattr(multiprocessing, "current_process",
+                                lambda: types.SimpleNamespace(daemon=True))
+        assert protocol._pair_workers(1 if case == "one seed" else 2) == (1, None)
+
+    def test_worker_that_dies_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(protocol, "pretrain_random", lambda *a: os._exit(3))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        with pytest.raises(RuntimeError, match=r"seeds \[0\] exited with code 3"):
+            compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
+                             seeds=[0, 1])
+
+    def test_replaced_pair_sees_every_call_in_process(self, monkeypatch):
+        calls = []
+
+        def fake_pair(source_d, t_train, t_val, arch, pre_cfg, ft_cfg, seed):
+            calls.append((seed, os.getpid()))
+            return 0.5, 0.25 + seed, f"fp{seed}", f"fp{seed}"
+
+        monkeypatch.setattr(protocol, "_transfer_pair", fake_pair)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        report = compare_transfer(d, d, "", blob_cfg(), blob_cfg(), seeds=[0, 1, 2])
+        assert calls == [(s, os.getpid()) for s in (0, 1, 2)]
+        assert report.pretrained == [0.25, 1.25, 2.25]
+        assert report.order_fingerprints == [("fp0", "fp0"), ("fp1", "fp1"),
+                                             ("fp2", "fp2")]
 
     def test_report_statistics(self):
         report = TransferReport([0, 1], [0.5, 0.6], [0.7, 0.55])

@@ -159,10 +159,9 @@ def _cmd_compare(args) -> int:
         raise ConfigError("compare needs target.* dataset keys")
     source = spec.data.build()
     target = spec.target.build()
-    pre_cfg = replace(phase_config(spec, "pre"), monitor="train_loss")
-    ft_cfg = replace(phase_config(spec, "ft"), monitor="val_accuracy")
     report = protocol.compare_transfer(source, target, spec.arch,
-                                       pre_cfg, ft_cfg, spec.seeds,
+                                       phase_config(spec, "pre"),
+                                       phase_config(spec, "ft"), spec.seeds,
                                        spec.train_fraction)
     os.makedirs(args.out, exist_ok=True)
     _emit(args.out, spec)

@@ -9,12 +9,14 @@ and plot legends.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadMagicError, CountMismatchError, MemlabError, TruncatedError
+from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
+                     TruncatedError)
 from .prng import Prng, splitmix64
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -102,29 +104,56 @@ class SplitSpec:
             )
 
 
-def _read_exact(data: bytes, offset: int, count: int, what: str) -> bytes:
-    if offset + count > len(data):
-        raise TruncatedError(f"{what}: expected {count} bytes at offset {offset}, "
-                             f"file has {len(data)}")
-    return data[offset:offset + count]
+class _Reader:
+    """Bounds-checked reads through the bytes of one binary file.
+
+    Every read names what it reads, so a file that ends early raises
+    TruncatedError saying which field was cut off.
+    """
+
+    def __init__(self, raw: bytes):
+        self.raw = raw
+        self.pos = 0
+
+    def take(self, count: int, what: str) -> bytes:
+        if self.pos + count > len(self.raw):
+            raise TruncatedError(f"{what}: need {count} bytes at offset {self.pos}, "
+                                 f"file has {len(self.raw)}")
+        out = self.raw[self.pos:self.pos + count]
+        self.pos += count
+        return out
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+    def text(self, what: str) -> str:
+        """A u32-length-prefixed UTF-8 string (little-endian length)."""
+        raw = self.take(self.unpack("<I", f"{what} length")[0], what)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MemlabError(f"{what}: invalid UTF-8 at offset "
+                              f"{self.pos - len(raw) + e.start}") from None
+
+    def end(self, what: str) -> None:
+        """Refuse bytes left over after the last field, ``what``."""
+        if self.pos != len(self.raw):
+            raise TruncatedError(f"{len(self.raw) - self.pos} trailing bytes "
+                                 f"after {what}")
 
 
 def _load_idx_array(path, magic_want: int, ndim: int, what: str) -> np.ndarray:
     with open(path, "rb") as f:
-        raw = f.read()
-    header = _read_exact(raw, 0, 4 * (1 + ndim), f"{what} header")
-    magic = struct.unpack(">I", header[:4])[0]
+        r = _Reader(f.read())
+    magic, *dims = r.unpack(f">{1 + ndim}I", f"{what} header")
     if magic != magic_want:
         raise BadMagicError(
             f"{what}: magic 0x{magic:08x}, expected 0x{magic_want:08x}"
         )
-    dims = struct.unpack(f">{ndim}I", header[4:])
-    total = int(np.prod(dims, dtype=np.int64))
-    payload = _read_exact(raw, 4 * (1 + ndim), total, f"{what} payload")
-    if len(raw) > 4 * (1 + ndim) + total:
-        raise TruncatedError(
-            f"{what}: {len(raw) - 4 * (1 + ndim) - total} trailing bytes"
-        )
+    if 0 in dims:
+        raise ShapeError(f"{what}: dims {tuple(dims)} include a zero")
+    payload = r.take(math.prod(dims), f"{what} payload")
+    r.end(f"{what} payload")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 

@@ -30,36 +30,21 @@ class Network:
     """Layers plus head, with construction-time shape validation."""
 
     def __init__(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...]):
-        input_shape = _input_dims(input_shape)
-        shape = input_shape
-        for i, layer in enumerate(layers):
+        self.layers = list(layers)
+        self.head = head
+        self.input_shape = shape = _input_dims(input_shape)
+        for i, layer in enumerate(self.layers):
             try:
                 shape = layer.output_shape(shape)
             except ShapeError as e:
                 raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
-        self._assemble(layers, head, input_shape, shape)
-
-    @classmethod
-    def _walked(cls, layers: list[Layer], head: Dense, input_shape: tuple[int, ...],
-                feature_shape: tuple[int, ...]) -> "Network":
-        """A network whose layer shapes the caller has already walked."""
-        net = cls.__new__(cls)
-        net._assemble(layers, head, _input_dims(input_shape), feature_shape)
-        return net
-
-    def _assemble(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...],
-                  feature_shape: tuple[int, ...]) -> None:
-        self.layers = list(layers)
-        self.head = head
-        self.input_shape = input_shape
-        self.feature_shape = feature_shape
+        self.feature_shape = shape
         try:
-            head.output_shape(feature_shape)
+            head.output_shape(shape)
         except ShapeError as e:
             raise ShapeError(f"head ({head.describe()}): {e}") from None
         self._first_params = next(i for i, layer in enumerate(self.all_layers)
                                   if layer.params())
-        self._ready = False
 
     @property
     def num_classes(self) -> int:
@@ -115,9 +100,7 @@ class Network:
                 x = layer.forward(x)
             except ValueError as e:
                 raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
-        x = self.head.forward(x)
-        self._ready = True
-        return x
+        return self.head.forward(x)
 
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fill every parameter's grad; returns them in network order.
@@ -129,11 +112,9 @@ class Network:
 
         The returned arrays are the parameters' persistent grad buffers,
         not copies: the next backward overwrites them in place, so copy
-        any gradient that must outlive it.
+        any gradient that must outlive it.  A layer whose forward has not
+        run since its last backward raises RuntimeError.
         """
-        if not self._ready:
-            raise RuntimeError("backward called before forward")
-        self._ready = False
         d = np.asarray(dlogits, dtype=np.float64)
         layers = self.all_layers
         for layer in reversed(layers[self._first_params + 1:]):
@@ -237,7 +218,7 @@ def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> 
             f"architecture output shape {shape} is not flat; "
             "end the token list with 'flatten'"
         )
-    return Network._walked(layers, Dense(shape[0], num_classes), input_shape, shape)
+    return Network(layers, Dense(shape[0], num_classes), input_shape)
 
 
 def parse_descriptor(descriptor: str) -> tuple[str, tuple[int, ...], int]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,9 +60,7 @@ class TrainConfig:
             )
 
     def fingerprint_items(self) -> list[tuple[str, str]]:
-        return [(k, repr(getattr(self, k))) for k in (
-            "epochs", "initial_lr", "momentum", "patience", "decay_factor",
-            "min_lr", "batch_size", "seed", "monitor")]
+        return [(f.name, repr(getattr(self, f.name))) for f in fields(self)]
 
 
 # float64 elements per slice of the update: 256 KiB, so the slices of

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NonFiniteError
 from ..prng import Prng
 
 
@@ -60,10 +59,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def check_finite(self) -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise NonFiniteError("tensor contains NaN or Inf")
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"

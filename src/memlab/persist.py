@@ -16,13 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, load_idx, synth_blobs, synth_images
+from .data import Dataset, _Reader, load_idx, synth_blobs, synth_images
 from .errors import (
     BadMagicError,
     ConfigError,
     NonFiniteError,
     ShapeError,
-    TruncatedError,
     VersionError,
 )
 from .nn import TrainConfig
@@ -40,35 +39,6 @@ def format_real(v: float) -> str:
     if not np.isfinite(v):
         raise NonFiniteError(f"refusing to serialize non-finite value {v!r}")
     return format(float(v), "#.9g")
-
-
-class _Reader:
-    def __init__(self, raw: bytes):
-        self.raw = raw
-        self.pos = 0
-
-    def take(self, count: int, what: str) -> bytes:
-        if self.pos + count > len(self.raw):
-            raise TruncatedError(
-                f"{what}: need {count} bytes at offset {self.pos}, "
-                f"file has {len(self.raw)}"
-            )
-        out = self.raw[self.pos:self.pos + count]
-        self.pos += count
-        return out
-
-    def u8(self, what: str) -> int:
-        return self.take(1, what)[0]
-
-    def u16(self, what: str) -> int:
-        return struct.unpack("<H", self.take(2, what))[0]
-
-    def u32(self, what: str) -> int:
-        return struct.unpack("<I", self.take(4, what))[0]
-
-    def text(self, what: str) -> str:
-        n = self.u32(f"{what} length")
-        return self.take(n, what).decode("utf-8")
 
 
 def save_checkpoint(c: Checkpoint, path) -> None:
@@ -105,29 +75,24 @@ def load_checkpoint(path) -> Checkpoint:
         raise BadMagicError(
             f"magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"
         )
-    version = r.u16("version")
+    (version,) = r.unpack("<H", "version")
     if version != CHECKPOINT_VERSION:
         raise VersionError(
             f"format version {version}, this reader handles {CHECKPOINT_VERSION}"
         )
     descriptor = r.text("descriptor")
-    count = r.u32("tensor count")
+    (count,) = r.unpack("<I", "tensor count")
     tensors = []
     for i in range(count):
-        rank = r.u8(f"tensor {i} rank")
-        dims = struct.unpack(f"<{rank}I", r.take(4 * rank, f"tensor {i} dims"))
-        total = 1
-        for d in dims:
-            total *= d
+        (rank,) = r.unpack("<B", f"tensor {i} rank")
+        dims = r.unpack(f"<{rank}I", f"tensor {i} dims")
+        total = math.prod(dims)
         if total > _MAX_ELEMENTS:
             raise ShapeError(f"tensor {i} dims {dims} overflow the element limit")
         payload = r.take(8 * total, f"tensor {i} payload")
         tensors.append(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
     provenance = r.text("provenance")
-    if r.pos != len(r.raw):
-        raise TruncatedError(
-            f"{len(r.raw) - r.pos} trailing bytes after provenance"
-        )
+    r.end("provenance")
     return Checkpoint(descriptor, tensors, provenance)
 
 

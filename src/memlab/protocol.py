@@ -122,10 +122,6 @@ class Checkpoint:
     tensors: list[np.ndarray]
     provenance: str
 
-    def build(self, num_classes: int | None = None) -> Network:
-        """Instantiate the architecture; parameters are NOT loaded."""
-        return network_from_descriptor(self.descriptor, num_classes=num_classes)
-
     def same_tensors(self, other: "Checkpoint") -> bool:
         return (len(self.tensors) == len(other.tensors)
                 and all(a.shape == b.shape and np.array_equal(a, b)

@@ -15,9 +15,10 @@ from memlab import (BadMagicError, Checkpoint, ConfigError,
                     CountMismatchError, PlateauScheduler, Prng, SplitSpec,
                     TrainConfig, TruncatedError, VersionError, build_network,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
-                    grad_check, load_checkpoint, load_idx, parse_config,
-                    pretrain_random, reshuffle_experiment, save_checkpoint,
-                    split, synth_images, train, write_metrics_csv)
+                    grad_check, load_checkpoint, load_idx,
+                    network_from_descriptor, parse_config, pretrain_random,
+                    reshuffle_experiment, save_checkpoint, split, synth_images,
+                    train, write_metrics_csv)
 
 MEMO_ARCH = "flatten dense:512 relu dense:512 relu"
 MEMO_CORPUS_SEED = 100
@@ -157,7 +158,7 @@ def test_criterion_6_paired_run_anchor(tmp_path):
         write_metrics_csv(ft_log, pb)
         identical.append(pa.read_bytes() == pb.read_bytes())
 
-        ft_net = ft_ckpt.build()
+        ft_net = network_from_descriptor(ft_ckpt.descriptor)
         ft_net.load_state(ft_ckpt.tensors)
         zero_diff.append(evaluate(ft_net, va)[1] - evaluate(base_net, va)[1])
 

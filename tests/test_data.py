@@ -1,6 +1,7 @@
 """Dataset construction, IDX files, random labeling, reshuffling, splits."""
 
 import hashlib
+import re
 import struct
 import tracemalloc
 
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 
 from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
-                    MemlabError, SplitSpec, TruncatedError, assign_random_labels,
-                    load_idx, reshuffle_labels, split, splitmix64, synth_blobs,
-                    synth_images, write_idx)
+                    MemlabError, ShapeError, SplitSpec, TruncatedError,
+                    assign_random_labels, load_idx, reshuffle_labels, split,
+                    splitmix64, synth_blobs, synth_images, write_idx)
 from memlab.data import _ROWS_BLOCK_BYTES
 
 CHI2_9_Q999 = 27.877  # 0.999 quantile of chi-square with 9 dof
@@ -80,6 +81,35 @@ class TestIdx:
                             label_bytes(1, [0]))
         with pytest.raises(TruncatedError):
             load_idx(ip, lp)
+
+    @pytest.mark.parametrize("images,labels,part,dims", [
+        (image_bytes(0, 2, 2, []), label_bytes(0, []), "images", (0, 2, 2)),
+        (image_bytes(2, 0, 3, []), label_bytes(2, [0, 1]), "images", (2, 0, 3)),
+        (image_bytes(1, 2, 2, [0] * 4), label_bytes(0, []), "labels", (0,)),
+    ], ids=["no_images", "zero_height", "no_labels"])
+    def test_zero_size_dims(self, tmp_path, images, labels, part, dims):
+        ip, lp = write_pair(tmp_path, images, labels)
+        with pytest.raises(ShapeError, match=f"^{part}: dims {re.escape(str(dims))}"):
+            load_idx(ip, lp)
+
+    def test_dims_whose_product_passes_int64(self, tmp_path):
+        # 2**31 * 2**31 * 4 = 2**64 pixels, which an int64 product wraps to 0
+        ip, lp = write_pair(tmp_path, image_bytes(2**31, 2**31, 4, []),
+                            label_bytes(1, [0]))
+        with pytest.raises(TruncatedError, match="^images payload: need 18446744073709551616 "):
+            load_idx(ip, lp)
+
+    def test_every_proper_prefix_is_truncated(self, tmp_path):
+        images = image_bytes(2, 2, 3, range(12))
+        labels = label_bytes(2, [0, 1])
+        for cut in range(len(images)):
+            ip, lp = write_pair(tmp_path, images[:cut], labels)
+            with pytest.raises(TruncatedError, match="^images"):
+                load_idx(ip, lp)
+        for cut in range(len(labels)):
+            ip, lp = write_pair(tmp_path, images, labels[:cut])
+            with pytest.raises(TruncatedError, match="^labels"):
+                load_idx(ip, lp)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = write_pair(tmp_path,

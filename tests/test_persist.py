@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 
 from memlab import (BadMagicError, Checkpoint, ConfigError, DatasetSpec,
-                    EpochRecord, MetricsLog, NonFiniteError, RunSpec,
-                    ShapeError, TrainConfig, TruncatedError, VersionError,
-                    build_network, load_checkpoint, load_idx, parse_config,
-                    read_metrics_csv, render_config, save_checkpoint, split,
-                    synth_blobs, synth_images, write_idx, write_metrics_csv)
+                    EpochRecord, MemlabError, MetricsLog, NonFiniteError,
+                    RunSpec, ShapeError, TrainConfig, TruncatedError,
+                    VersionError, build_network, load_checkpoint, load_idx,
+                    parse_config, read_metrics_csv, render_config,
+                    save_checkpoint, split, synth_blobs, synth_images,
+                    write_idx, write_metrics_csv)
 from memlab.data import SplitSpec
 from memlab.nn import MONITORS
 from memlab.persist import (CSV_HEADER, format_real, phase_config,
@@ -68,6 +69,28 @@ class TestCheckpointFormat:
         raw = p.read_bytes()
         p.write_bytes(raw[:keep] if keep > 0 else raw[:len(raw) + keep])
         with pytest.raises(TruncatedError):
+            load_checkpoint(p)
+
+    def test_every_proper_prefix_is_truncated(self, tmp_path):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(small_checkpoint(), p)
+        raw = p.read_bytes()
+        for cut in range(len(raw)):
+            p.write_bytes(raw[:cut])
+            with pytest.raises(TruncatedError):
+                load_checkpoint(p)
+
+    @pytest.mark.parametrize("field", ["descriptor", "provenance"])
+    def test_invalid_utf8_text(self, tmp_path, field):
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(small_checkpoint(), p)
+        raw = bytearray(p.read_bytes())
+        # magic 4, version 2, descriptor length 4: the descriptor starts at 10
+        at = 10 if field == "descriptor" else len(raw) - 1
+        raw[at] = 0xFF
+        p.write_bytes(bytes(raw))
+        with pytest.raises(MemlabError,
+                           match=f"^{field}: invalid UTF-8 at offset {at}$"):
             load_checkpoint(p)
 
     def test_trailing_bytes(self, tmp_path):

@@ -8,14 +8,14 @@ import types
 import numpy as np
 import pytest
 
-from memlab import (ConfigError, EpochRecord, MetricsLog, ShapeError,
-                    SplitSpec, TrainConfig, TrainingDivergedError,
+from memlab import (ConfigError, Dataset, EpochRecord, Labeling, MetricsLog,
+                    ShapeError, SplitSpec, TrainConfig, TrainingDivergedError,
                     TransferReport, assign_random_labels, build_network,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
                     synth_blobs, synth_images, train, write_metrics_csv)
 from memlab import protocol
-from memlab.protocol import shuffle_seed
+from memlab.protocol import run_fingerprint, shuffle_seed
 
 
 def blob_cfg(**kw):
@@ -180,6 +180,19 @@ class TestMetricsLog:
         c.absorb_order(np.array([3, 2, 1]))
         assert a.data_order_fingerprint == b.data_order_fingerprint
         assert a.data_order_fingerprint != c.data_order_fingerprint
+
+
+def test_run_fingerprint_is_pinned():
+    # the fingerprint goes into the provenance of every checkpoint: a
+    # config with every field off its default must keep hashing the same
+    cfg = TrainConfig(epochs=7, initial_lr=0.05, momentum=0.5, patience=3,
+                      decay_factor=0.5, min_lr=1e-4, batch_size=16,
+                      seed=123456789, monitor="train_loss")
+    defaults = TrainConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(TrainConfig))
+    d = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 2, Labeling("random", seed=5))
+    assert run_fingerprint(cfg, d) == "52938c10ff254847"
 
 
 class TestEpochsToThreshold:

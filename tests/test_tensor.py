@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memlab import NonFiniteError, Prng, SgdMomentum, Tensor
+from memlab import Prng, SgdMomentum, Tensor
 from memlab.nn import he_init
 
 
@@ -35,15 +35,6 @@ def test_zero_grad():
     t = Tensor(np.ones(4), grad=np.ones(4))
     t.zero_grad()
     assert t.grad is None
-
-
-def test_check_finite():
-    Tensor(np.ones(3)).check_finite()
-    bad = Tensor(np.array([1.0, np.nan]))
-    with pytest.raises(NonFiniteError):
-        bad.check_finite()
-    with pytest.raises(NonFiniteError):
-        Tensor(np.array([np.inf])).check_finite()
 
 
 def test_bias_init_is_exact_zero():

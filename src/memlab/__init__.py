@@ -67,6 +67,7 @@ from .protocol import (
     EpochRecord,
     MetricsLog,
     TransferReport,
+    baseline,
     compare_transfer,
     epochs_to_threshold,
     evaluate,
@@ -87,7 +88,7 @@ __all__ = [
     "RunSpec", "SgdMomentum", "ShapeError", "SplitSpec", "Tensor",
     "TrainConfig", "TrainingDivergedError", "TransferReport",
     "TruncatedError", "UsageError", "VersionError", "assign_random_labels",
-    "build_network", "compare_transfer", "derive_seed", "emit_svg",
+    "baseline", "build_network", "compare_transfer", "derive_seed", "emit_svg",
     "epochs_to_threshold", "evaluate", "finetune", "grad_check", "load_checkpoint",
     "load_idx", "network_from_descriptor", "parse_config", "predictions",
     "pretrain_random", "read_metrics_csv", "render_config", "render_svg",

@@ -16,7 +16,6 @@ from dataclasses import replace
 from . import protocol
 from .data import SplitSpec, split
 from .errors import ConfigError, MemlabError, UsageError
-from .nn import build_network
 from .persist import (
     RunSpec,
     format_real,
@@ -102,10 +101,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_baseline(args) -> int:
     spec = parse_config(args.config)
     tr, va = _split_target(spec)
-    cfg = replace(spec.train, monitor="val_accuracy")
-    net = build_network(spec.arch, tr.feature_shape, tr.num_classes)
-    net.initialize(cfg.seed)
-    ckpt, log = protocol.train(net, tr, va, cfg)
+    ckpt, log = protocol.baseline(tr, spec.arch, spec.train, va)
     _emit(args.out, spec, log, ckpt)
     final = log.final("val")
     print(f"baseline: {final.epoch} epochs, final val accuracy "
@@ -163,7 +159,6 @@ def _cmd_compare(args) -> int:
                                        phase_config(spec, "pre"),
                                        phase_config(spec, "ft"), spec.seeds,
                                        spec.train_fraction)
-    os.makedirs(args.out, exist_ok=True)
     _emit(args.out, spec)
     with open(os.path.join(args.out, "report.csv"), "wb") as f:
         rows = ["seed,baseline,pretrained,difference"]
@@ -187,7 +182,6 @@ def _cmd_plot(args) -> int:
     if not args.metrics:
         raise UsageError("plot needs --metrics pointing at a metrics.csv")
     log = read_metrics_csv(args.metrics)
-    os.makedirs(args.out, exist_ok=True)
     _emit(args.out, spec)
     emit_svg(log, os.path.join(args.out, "plot.svg"))
     print(f"plot: {len(log.records)} records, rounds {log.rounds()}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
-                     TruncatedError)
+                     TruncatedError, require, u64)
 from .prng import Prng, splitmix64
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -98,10 +98,8 @@ class SplitSpec:
     seed: int
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+        require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
+        require(self, u64, "in [0, 2**64)", "seed")
 
 
 class _Reader:

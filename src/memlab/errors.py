@@ -1,4 +1,5 @@
-"""Exception types raised across the library.
+"""Exception types raised across the library, and the range check that
+every config dataclass validates its fields with.
 
 Everything user-facing derives from MemlabError so callers (and the CLI)
 can distinguish expected failures from bugs.
@@ -52,3 +53,15 @@ class ConfigError(MemlabError):
 
 class UsageError(MemlabError):
     """Command line arguments are malformed (exit code 1 territory)."""
+
+
+def require(obj, ok, rule: str, *names: str) -> None:
+    """Range check whose message starts with the field name, for blame."""
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def u64(value: int) -> bool:
+    return 0 <= value < 2**64

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import NonFiniteError
+from ..errors import NonFiniteError, require, u64
 from .tensor import Tensor
 
 MONITORS = ("train_loss", "val_accuracy")
@@ -33,31 +33,15 @@ class TrainConfig:
     monitor: str = "val_accuracy"
 
     def __post_init__(self):
-        for name in ("initial_lr", "momentum", "decay_factor", "min_lr"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.epochs < 0:
-            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be positive, got {self.initial_lr}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be positive, got {self.patience}")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError(
-                f"decay_factor must be in (0, 1), got {self.decay_factor}"
-            )
-        if self.min_lr <= 0:
-            raise ValueError(f"min_lr must be positive, got {self.min_lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
-        if self.monitor not in MONITORS:
-            raise ValueError(
-                f"monitor must be one of {MONITORS}, got {self.monitor!r}"
-            )
+        require(self, math.isfinite, "finite",
+                "initial_lr", "momentum", "decay_factor", "min_lr")
+        require(self, lambda v: v >= 0, ">= 0", "epochs")
+        require(self, lambda v: v > 0, "positive",
+                "initial_lr", "patience", "min_lr", "batch_size")
+        require(self, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "momentum")
+        require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "decay_factor")
+        require(self, u64, "in [0, 2**64)", "seed")
+        require(self, MONITORS.__contains__, f"one of {MONITORS}", "monitor")
 
     def fingerprint_items(self) -> list[tuple[str, str]]:
         return [(f.name, repr(getattr(self, f.name))) for f in fields(self)]

@@ -20,11 +20,14 @@ from .data import Dataset, _Reader, load_idx, synth_blobs, synth_images
 from .errors import (
     BadMagicError,
     ConfigError,
+    MemlabError,
     NonFiniteError,
     ShapeError,
     VersionError,
+    require,
+    u64,
 )
-from .nn import TrainConfig
+from .nn import TrainConfig, network_from_descriptor
 from .protocol import Checkpoint, EpochRecord, MetricsLog
 
 CHECKPOINT_MAGIC = b"MEMT"
@@ -68,6 +71,9 @@ def save_checkpoint(c: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Inverse of save_checkpoint.  Beyond the byte layout, the descriptor
+    must rebuild a network whose parameters the tensors match in count and
+    shape, and every value must be finite."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
     magic = r.take(4, "magic")
@@ -93,7 +99,31 @@ def load_checkpoint(path) -> Checkpoint:
         tensors.append(np.frombuffer(payload, dtype="<f8").reshape(dims).copy())
     provenance = r.text("provenance")
     r.end("provenance")
+    try:  # a network too large to allocate is a bad descriptor too
+        params = network_from_descriptor(descriptor).parameters()
+    except (MemlabError, ValueError, MemoryError) as e:
+        raise MemlabError(f"descriptor: {e}") from None
+    if len(tensors) != len(params):
+        raise ShapeError(f"{len(tensors)} tensors, the descriptor needs {len(params)}")
+    for i, (t, p) in enumerate(zip(tensors, params)):
+        if t.shape != p.shape:
+            raise ShapeError(f"tensor {i} shape {t.shape}, the descriptor needs {p.shape}")
+        if not np.isfinite(t).all():
+            raise NonFiniteError(f"tensor {i} contains NaN or Inf")
     return Checkpoint(descriptor, tensors, provenance)
+
+
+def _text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 raise a
+    ConfigError on their line."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        # the lines of the valid prefix with one character in the bad byte's place
+        line = len((raw[:e.start].decode("utf-8") + "?").splitlines())
+        raise ConfigError(f"invalid UTF-8 at byte {e.start}", line=line) from None
 
 
 def write_metrics_csv(log: MetricsLog, path) -> None:
@@ -117,8 +147,7 @@ def read_metrics_csv(path) -> MetricsLog:
     Labeling provenance is not part of the CSV, so logs read back carry
     records only.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    lines = _text_lines(path)
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"bad metrics header, expected {CSV_HEADER!r}", line=1)
     log = MetricsLog()
@@ -143,18 +172,6 @@ _KINDS = ("synth_images", "synth_blobs", "idx")
 _SYNTH = _KINDS[:2]
 
 
-def _require(obj, ok, rule: str, *names: str) -> None:
-    """Range check whose message starts with the field name, for blame."""
-    for name in names:
-        value = getattr(obj, name)
-        if not ok(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-def _u64(value: int) -> bool:
-    return 0 <= value < 2**64
-
-
 @dataclass
 class DatasetSpec:
     """One dataset selection; kind decides which other fields apply.
@@ -177,10 +194,10 @@ class DatasetSpec:
     take_line: int | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        _require(self, lambda v: v >= 1, ">= 1", "n", "classes", "size", "dim")
-        _require(self, lambda v: v >= 0, ">= 0", "take")
-        _require(self, lambda v: 0 < v < math.inf, "positive and finite", "spread")
-        _require(self, _u64, "in [0, 2**64)", "seed")
+        require(self, lambda v: v >= 1, ">= 1", "n", "classes", "size", "dim")
+        require(self, lambda v: v >= 0, ">= 0", "take")
+        require(self, lambda v: 0 < v < math.inf, "positive and finite", "spread")
+        require(self, u64, "in [0, 2**64)", "seed")
         # checks across fields name the field to blame first, then the others
         if self.kind == "synth_blobs" and self.n < self.classes:
             raise ValueError(f"n must be >= classes for kind synth_blobs, "
@@ -188,7 +205,7 @@ class DatasetSpec:
         if self.kind in _SYNTH and self.take > self.n:
             raise ValueError(f"take must be <= n, got take={self.take}, n={self.n}")
         if self.kind == "idx":
-            _require(self, bool, "set for kind idx", "images", "labels")
+            require(self, bool, "set for kind idx", "images", "labels")
 
     def build(self) -> Dataset:
         if self.kind == "synth_images":
@@ -223,13 +240,13 @@ class RunSpec:
     checkpoint: str = ""
 
     def __post_init__(self):
-        _require(self, lambda v: v >= 1, ">= 1", "rounds")
-        _require(self, lambda v: v >= 0, ">= 0",
-                 "epochs_per_round", "pre_epochs", "ft_epochs")
-        _require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
-        _require(self, _u64, "in [0, 2**64)", "label_seed")
-        _require(self, lambda v: v and all(map(_u64, v)),
-                 "at least one seed, each in [0, 2**64)", "seeds")
+        require(self, lambda v: v >= 1, ">= 1", "rounds")
+        require(self, lambda v: v >= 0, ">= 0",
+                "epochs_per_round", "pre_epochs", "ft_epochs")
+        require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
+        require(self, u64, "in [0, 2**64)", "label_seed")
+        require(self, lambda v: v and all(map(u64, v)),
+                "at least one seed, each in [0, 2**64)", "seeds")
 
 
 class _Key(NamedTuple):
@@ -297,9 +314,7 @@ def parse_config(path) -> RunSpec:
     An absent key takes its field's dataclass default, except label_seed,
     which defaults to seed.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        raw_lines = f.read().splitlines()
-
+    raw_lines = _text_lines(path)
     values: dict[str, object] = {}
     where: dict[str, int] = {}
     for lineno, raw in enumerate(raw_lines, start=1):

@@ -171,14 +171,6 @@ def shuffle_seed(seed: int, round: int, epoch: int) -> int:
     return splitmix64((base ^ ((round << 32) + epoch)) & ((1 << 64) - 1))
 
 
-def _monitor_value(monitor: str, train_loss: float, val_metrics) -> float:
-    if monitor == "train_loss":
-        return train_loss
-    if val_metrics is None:
-        raise ConfigError(f"monitor {monitor!r} requires a validation set")
-    return val_metrics[1]
-
-
 def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
                cfg: TrainConfig, log: MetricsLog, round: int) -> None:
     """Run cfg.epochs epochs of minibatch SGD, appending records for ``round``."""
@@ -218,7 +210,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
         if val_metrics is not None:
             log.append(EpochRecord(round, epoch, "val",
                                    val_metrics[0], val_metrics[1], lr_used))
-        opt.lr = sched.step(_monitor_value(cfg.monitor, train_loss, val_metrics))
+        opt.lr = sched.step(train_loss if cfg.monitor == "train_loss" else val_metrics[1])
     # release the grad buffers: nothing reads them once the round is over,
     # and the next round's first backward allocates them again
     for p in net.parameters():
@@ -251,6 +243,18 @@ def pretrain_random(d: Dataset, arch: str, cfg: TrainConfig,
     net = build_network(arch, labeled.feature_shape, labeled.num_classes)
     net.initialize(cfg.seed)
     return train(net, labeled, None, cfg)
+
+
+def baseline(d: Dataset, arch: str, cfg: TrainConfig,
+             val_d: Dataset) -> tuple[Checkpoint, MetricsLog]:
+    """From-scratch arm: a fresh network trained on ``d``'s true labels.
+
+    The scheduler monitors val_accuracy regardless of cfg.monitor.
+    """
+    cfg = replace(cfg, monitor="val_accuracy")
+    net = build_network(arch, d.feature_shape, d.num_classes)
+    net.initialize(cfg.seed)
+    return train(net, d, val_d, cfg)
 
 
 def finetune(ckpt: Checkpoint, target_d: Dataset, cfg: TrainConfig,
@@ -342,16 +346,10 @@ class TransferReport:
 def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
                    arch: str, pre_cfg: TrainConfig, ft_cfg: TrainConfig,
                    seed: int) -> tuple[float, float, str, str]:
-    pre = replace(pre_cfg, seed=seed)
-    ft = replace(ft_cfg, seed=seed, monitor="val_accuracy")
-    label_seed = derive_seed(seed, _LABEL_TAG)
-
-    base_net = build_network(arch, t_train.feature_shape, t_train.num_classes)
-    base_net.initialize(ft.seed)
-    base_log = train(base_net, t_train, t_val, ft)[1]
-    del base_net  # scored: its weights need not live through the other arm
-
-    ckpt = pretrain_random(source_d, arch, pre, label_seed)[0]
+    ft = replace(ft_cfg, seed=seed)
+    base_log = baseline(t_train, arch, ft, t_val)[1]
+    ckpt = pretrain_random(source_d, arch, replace(pre_cfg, seed=seed),
+                           derive_seed(seed, _LABEL_TAG))[0]
     ft_log = finetune(ckpt, t_train, ft, val_d=t_val)[1]
     # the last val record is evaluate() on the final weights of each arm
     return (base_log.final("val").accuracy, ft_log.final("val").accuracy,
@@ -413,29 +411,30 @@ def _seed_error(seed: int, kind: type, message: str) -> Exception:
         return RuntimeError(f"seed {seed}: {kind.__name__}: {message}")
 
 
-def _pair_worker(conn, set_threads, args: tuple, seeds: list[int]) -> None:
-    """One forked worker: its seeds' pairs in order at one BLAS thread.
+def _pair_results(args: tuple, seeds: list[int]):
+    """(True, pair) for each seed's pair in order, or (False, (type,
+    message)) for the error that stops them."""
+    for seed in seeds:
+        try:
+            yield True, _transfer_pair(*args, seed)
+        except Exception as e:
+            yield False, (type(e), str(e))
+            return
 
-    Sends (results, error): the 4-tuples of the pairs that finished, and
-    (type, message) of the error that stopped the next one, or None.
-    """
+
+def _pair_worker(conn, set_threads, args: tuple, seeds: list[int]) -> None:
+    """One forked worker: its seeds' messages, in order, at one BLAS thread."""
     set_threads(1)
-    done, error = [], None
-    try:
-        for seed in seeds:
-            done.append(_transfer_pair(*args, seed))
-    except Exception as e:
-        error = (type(e), str(e))
-    conn.send((done, error))
+    for message in _pair_results(args, seeds):
+        conn.send(message)
     conn.close()
 
 
-def _forked_pairs(args: tuple, seeds: list[int], workers: int,
-                  set_threads) -> list[tuple]:
-    """The pair of every seed, in seed order, from ``workers`` forked
-    processes: worker w runs seeds[w::workers].  The corpora in ``args``
-    are shared copy-on-write; only the 4-tuples come back.  The error of
-    the first seed that failed is raised, as running in order would."""
+def _forked_results(args: tuple, seeds: list[int], workers: int, set_threads):
+    """Every seed's message, in seed order, from ``workers`` forked
+    processes: worker w runs seeds[w::workers], so seed i's message is the
+    next from worker i % workers.  The corpora in ``args`` are shared
+    copy-on-write.  Leaving early terminates the workers still running."""
     import multiprocessing
     ctx = multiprocessing.get_context("fork")
     jobs = []
@@ -447,29 +446,23 @@ def _forked_pairs(args: tuple, seeds: list[int], workers: int,
             proc.start()
             send.close()
             jobs.append((proc, recv))
-        results: list = [None] * len(seeds)
-        failed = []
-        for w, (proc, recv) in enumerate(jobs):
+        for i in range(len(seeds)):
+            proc, recv = jobs[i % workers]
             try:
-                done, error = recv.recv()
+                message = recv.recv()
             except EOFError:
                 proc.join()
-                raise RuntimeError(f"the worker for seeds {seeds[w::workers]} "
+                raise RuntimeError(f"the worker for seeds {seeds[i % workers::workers]} "
                                    f"exited with code {proc.exitcode}") from None
-            proc.join()
-            results[w:w + len(done) * workers:workers] = done
-            if error is not None:
-                failed.append((w + len(done) * workers, *error))
-        if failed:
-            i, kind, message = min(failed, key=lambda f: f[0])
-            raise _seed_error(seeds[i], kind, message)
-        return results
+            yield message
+    except BaseException:  # left early: stop what still runs
+        for proc, _ in jobs:
+            proc.terminate()
+        raise
     finally:
         for proc, recv in jobs:
             recv.close()
-            if proc.exitcode is None:  # left early: stop what still runs
-                proc.terminate()
-                proc.join()
+            proc.join()
 
 
 def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
@@ -486,8 +479,8 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     thread.  They run in this process, in seed order, when that makes one
     worker, when fork or the BLAS thread count is not available, when the
     caller is a daemonic process, or when _transfer_pair has been
-    replaced.  The report is the same either way, and an error of a pair
-    is raised with its type, naming its seed.
+    replaced.  The report is the same either way, and the error of the
+    first failing seed is raised with its type, naming its seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -497,22 +490,21 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
     args = (source_d, t_train, t_val, arch, pre_cfg, ft_cfg)
     workers, set_threads = _pair_workers(len(seeds))
-    if workers > 1:
-        pairs = _forked_pairs(args, list(seeds), workers, set_threads)
-    else:
-        pairs = []
-        for seed in seeds:
-            try:
-                pairs.append(_transfer_pair(*args, seed))
-            except Exception as e:
-                raise _seed_error(seed, type(e), str(e)) from e
+    results = (_forked_results(args, list(seeds), workers, set_threads)
+               if workers > 1 else _pair_results(args, seeds))
     report = TransferReport(list(seeds), [], [])
-    for base_acc, ft_acc, base_fp, ft_fp in pairs:
-        if base_fp != ft_fp:
-            raise RuntimeError(
-                "paired runs consumed different data orders; pairing is broken"
-            )
-        report.baseline.append(base_acc)
-        report.pretrained.append(ft_acc)
-        report.order_fingerprints.append((base_fp, ft_fp))
+    try:
+        for (ok, value), seed in zip(results, seeds):
+            if not ok:
+                raise _seed_error(seed, *value)
+            base_acc, ft_acc, base_fp, ft_fp = value
+            if base_fp != ft_fp:
+                raise RuntimeError(
+                    "paired runs consumed different data orders; pairing is broken"
+                )
+            report.baseline.append(base_acc)
+            report.pretrained.append(ft_acc)
+            report.order_fingerprints.append((base_fp, ft_fp))
+    finally:
+        results.close()
     return report

@@ -1,9 +1,12 @@
 """Byte gates: small fixed runs pinned by sha256.
 
-The CLI hashes were recorded before the train step was rewritten for speed
-(branch-free ReLU, chunked in-place SGD, persistent gradient buffers).  A
-change to the step that alters any bit of a weight, a logged metric or the
-rendered curve changes one of them.  Dense(256->160) has more weights than
+The pretrain and reshuffle hashes were recorded before the train step was
+rewritten for speed (branch-free ReLU, chunked in-place SGD, persistent
+gradient buffers).  A change to the step that alters any bit of a weight,
+a logged metric or the rendered curve changes one of them.  The baseline
+hashes were recorded while `memlab baseline` still built and trained its
+own network; it now runs protocol.baseline, the from-scratch arm that
+compare_transfer runs too.  Dense(256->160) has more weights than
 one SGD chunk, so the chunk boundary is part of what is pinned.
 
 The conv hash was recorded before the conv path was rewritten (offset-view
@@ -44,6 +47,11 @@ epochs_per_round = 4
 """
 
 PINNED = {
+    "baseline": {
+        "metrics.csv": "14c07996e1b7cd2500b95afc205fe53f651d5c8a76a79ddf1fefb6a5aa4623d8",
+        "final.ckpt": "6d8b6331c3a449b1ed82b13da6152783170eececcd946f9fd05d646a2c1798e9",
+        "plot.svg": "5ebc674a9105c1d3a69357131e33f625a3158e8cf7bba9a06b6723dc612814bb",
+    },
     "pretrain": {
         "metrics.csv": "c921d453861fc23da1e0483d95b9a6b828443abbdaf5838b94e96eca0e241b01",
         "final.ckpt": "dbf493e1d7a4f1832467a09951834b5f6dd57760098580f3cc357a33e71a7e03",
@@ -98,4 +106,4 @@ def test_gates_hold_with_one_blas_thread(tmp_path):
          "-k", "not one_blas_thread", __file__],
         env=env, capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout + run.stderr
-    assert "3 passed" in run.stdout, run.stdout
+    assert "4 passed" in run.stdout, run.stdout

@@ -3,7 +3,7 @@
 import xml.etree.ElementTree as ET
 
 import pytest
-from test_persist import BAD_CONFIGS
+from test_persist import BAD_CONFIGS, BAD_UTF8, BAD_UTF8_IDS
 
 from memlab import synth_images, write_idx
 from memlab.cli import dispatch
@@ -220,6 +220,26 @@ def test_idx_take_above_its_file_blames_the_take_line(tmp_path, capsys, block,
     assert dispatch([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: line 4: take must be <= the 20 images of "), err
+
+
+@pytest.mark.parametrize("raw, line", BAD_UTF8, ids=BAD_UTF8_IDS)
+def test_invalid_utf8_config_exits_two_naming_its_line(tmp_path, capsys, raw, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(raw)
+    assert dispatch(["pretrain", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: line {line}: invalid UTF-8")
+
+
+def test_invalid_utf8_metrics_exits_two_naming_its_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, BLOBS_CFG)
+    assert dispatch(["pretrain", "--config", cfg, "--out", str(tmp_path / "pre")]) == 0
+    metrics = tmp_path / "pre" / "metrics.csv"
+    metrics.write_bytes(metrics.read_bytes().replace(b"train", b"tr\xe9in", 2))
+    capsys.readouterr()
+    assert dispatch(["plot", "--config", cfg, "--out", str(tmp_path / "plot"),
+                     "--metrics", str(metrics)]) == 2
+    assert capsys.readouterr().err.startswith("error: line 2: invalid UTF-8")
 
 
 def test_missing_data_file_exits_two(tmp_path, capsys):

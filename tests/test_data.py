@@ -396,3 +396,9 @@ class TestSplit:
             SplitSpec(1.0, seed=0)
         with pytest.raises(ValueError):
             SplitSpec(0.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+    def test_seed_outside_u64_rejected(self, seed):
+        # the split stream keeps only the low 64 bits: 2**64 + 5 would split as 5
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
+            SplitSpec(0.8, seed=seed)

@@ -1,5 +1,6 @@
 """Checkpoint binary format, metrics CSV, and run config files."""
 
+import re
 import string
 import struct
 
@@ -123,6 +124,50 @@ class TestCheckpointFormat:
         save_checkpoint(ckpt, p)
         assert load_checkpoint(p).provenance == "note=époque"
 
+    def test_non_finite_payload_is_refused_on_load(self, tmp_path):
+        ckpt = small_checkpoint()
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(ckpt, p)
+        raw = p.read_bytes()
+        # the third value of tensor 2, the head's weights, becomes NaN
+        at = raw.index(ckpt.tensors[2].astype("<f8").tobytes()) + 16
+        p.write_bytes(raw[:at] + struct.pack("<d", np.nan) + raw[at + 8:])
+        with pytest.raises(NonFiniteError, match="^tensor 2 "):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("descriptor, message", [
+        ("in:4 dunce:3 head:2", "unknown layer token 'dunce:3'"),
+        ("in:4 flatten dense:3 relu head:0", "num_classes must be positive"),
+        ("in:2x2 dense:3 head:2", "'dense:3' needs flat input"),
+        # 8 * 10**18 bytes of weights: no address space holds them
+        ("in:1000000000 dense:1000000000 head:2", "Unable to allocate"),
+    ], ids=["unknown token", "empty head", "unflattened", "unallocatable"])
+    def test_descriptor_must_rebuild_a_network(self, tmp_path, descriptor, message):
+        ckpt = small_checkpoint()
+        ckpt.descriptor = descriptor
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(MemlabError, match=f"^descriptor: {re.escape(message)}"):
+            load_checkpoint(p)
+
+    @pytest.mark.parametrize("count", [1, 3, 5])
+    def test_tensor_count_must_match_the_descriptor(self, tmp_path, count):
+        ckpt = small_checkpoint()
+        ckpt.tensors = (ckpt.tensors + [np.zeros(2)])[:count]
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(ShapeError, match=f"^{count} tensors, the descriptor needs 4$"):
+            load_checkpoint(p)
+
+    def test_tensor_shapes_must_match_the_descriptor(self, tmp_path):
+        ckpt = small_checkpoint()
+        ckpt.tensors[2] = ckpt.tensors[2].T.copy()
+        p = tmp_path / "x.ckpt"
+        save_checkpoint(ckpt, p)
+        with pytest.raises(ShapeError, match=r"^tensor 2 shape \(2, 3\), "
+                                             r"the descriptor needs \(3, 2\)$"):
+            load_checkpoint(p)
+
 
 class TestFormatReal:
     def test_nine_significant_digits(self):
@@ -185,6 +230,13 @@ class TestMetricsCsv:
         with pytest.raises(ConfigError, match="line 3"):
             read_metrics_csv(p)
 
+    def test_invalid_utf8_names_line(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes((CSV_HEADER + "\n1,1,train,0.5,0.5,0.1\n").encode()
+                      + b"1,2,tr\xe9in,0.5,0.5,0.1\n")
+        with pytest.raises(ConfigError, match="^line 3: invalid UTF-8 at byte 63$"):
+            read_metrics_csv(p)
+
     def test_broken_contiguity_names_line(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_text(CSV_HEADER + "\n1,2,train,0.5,0.5,0.1\n")
@@ -224,7 +276,7 @@ BAD_CONFIGS = [
     (BLOBS + "lr = inf\n", 3, "initial_lr must be finite"),
     (BLOBS + "min_lr = nan\n", 3, "min_lr must be finite"),
     (BLOBS + "decay = nan\n", 3, "decay_factor must be finite"),
-    (BLOBS + "seed = -1\n", 3, "seed must fit"),
+    (BLOBS + "seed = -1\n", 3, "seed must be in"),
     (BLOBS + "train_fraction = nan\n", 3, "train_fraction must be in"),
     (IMAGES + "data.dim = 4\n", 3, "data.dim does not apply to kind synth_images"),
     ("data.kind = idx\ndata.n = 5\narch = flatten\n", 2, "data.n does not apply"),
@@ -249,6 +301,25 @@ BAD_CONFIGS = [
 def test_bad_config_blames_its_line(tmp_path, text, line, message):
     with pytest.raises(ConfigError, match=f"^line {line}: .*{message}"):
         parse_config(write_config(tmp_path, text))
+
+
+# Bytes that are not UTF-8, and the config line they are on; line breaks
+# are counted as in the rest of parse_config, so "\r\n" is one and "\r" is one.
+BAD_UTF8 = [
+    (b"data.kind = synth_blobs\narch = flatten # caf\xe9\n", 2),
+    (b"\xff", 1),
+    (b"data.kind = synth_blobs\r\narch = flatten\r\n\r\nlr = 0.1\xc3\n", 4),
+    (b"data.kind = synth_blobs\rarch = flatten\r# \xe2\x82\n", 3),
+]
+BAD_UTF8_IDS = ["latin-1 comment", "first byte", "crlf lines", "cr lines"]
+
+
+@pytest.mark.parametrize("raw, line", BAD_UTF8, ids=BAD_UTF8_IDS)
+def test_invalid_utf8_config_blames_its_line(tmp_path, raw, line):
+    p = tmp_path / "run.cfg"
+    p.write_bytes(raw)
+    with pytest.raises(ConfigError, match=f"^line {line}: invalid UTF-8 at byte "):
+        parse_config(p)
 
 
 class TestParseConfig:

@@ -3,11 +3,17 @@
 import dataclasses
 import multiprocessing
 import os
+import re
+import subprocess
+import sys
+import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memlab
 from memlab import (ConfigError, Dataset, EpochRecord, Labeling, MetricsLog,
                     ShapeError, SplitSpec, TrainConfig, TrainingDivergedError,
                     TransferReport, assign_random_labels, build_network,
@@ -373,6 +379,48 @@ class TestCompareTransfer:
             compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
                              seeds=[5, 6, 7])
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error, raised, message", [
+        (ConfigError("bad", line=4), ConfigError, "seed 6: line 4: bad"),
+        # a type whose constructor takes other arguments than one message
+        (UnicodeDecodeError("utf-8", b"\xe9", 0, 1, "invalid continuation byte"),
+         RuntimeError, "seed 6: UnicodeDecodeError: 'utf-8' codec can't decode "
+                       "byte 0xe9 in position 0: invalid continuation byte"),
+    ], ids=["ConfigError", "UnicodeDecodeError"])
+    def test_pair_error_is_rebuilt_naming_its_seed(self, monkeypatch, workers,
+                                                   error, raised, message):
+        real = protocol.pretrain_random
+
+        def failing(d, arch, cfg, label_seed):
+            if cfg.seed == 6:
+                raise error
+            return real(d, arch, cfg, label_seed)
+
+        monkeypatch.setattr(protocol, "pretrain_random", failing)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)), raising=False)
+        assert protocol._pair_workers(3)[0] == workers
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        with pytest.raises(raised, match=f"^{re.escape(message)}$") as caught:
+            compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
+                             seeds=[5, 6, 7])
+        assert type(caught.value) is raised
+
+    def test_first_failing_seed_stops_the_other_workers(self, monkeypatch):
+        def pretrain(d, arch, cfg, label_seed):
+            if cfg.seed == 5:  # worker 0's first pair
+                raise TrainingDivergedError("non-finite loss at round 1 epoch 1")
+            time.sleep(120)  # worker 1's pair: nothing waits for it
+
+        monkeypatch.setattr(protocol, "pretrain_random", pretrain)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        start = time.monotonic()
+        with pytest.raises(TrainingDivergedError, match=r"^seed 5: "):
+            compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
+                             seeds=[5, 6])
+        assert time.monotonic() - start < 60
+
     @pytest.mark.parametrize("case", ["one seed", "one core", "replaced pair",
                                       "no thread setter", "daemonic caller"])
     def test_pairs_stay_in_process(self, monkeypatch, case):
@@ -421,3 +469,17 @@ class TestCompareTransfer:
             float(np.std([0.2, -0.05], ddof=1)))
         single = TransferReport([0], [0.5], [0.6])
         assert single.std_difference == 0.0
+
+
+def test_import_loads_no_process_pool():
+    # compare_transfer imports multiprocessing when it first runs: loaded at
+    # import, it would add setup time and resident memory to every command
+    src = str(Path(memlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, memlab, memlab.cli; print([m for m in "
+            "('multiprocessing', 'concurrent.futures') if m in sys.modules])")
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

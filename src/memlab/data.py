@@ -10,14 +10,17 @@ and plot legends.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
                      TruncatedError, require, u64)
-from .prng import Prng, splitmix64
+from .prng import (Prng, _box_muller, _gaussian_scratch, _gaussian_steps,
+                   splitmix64)
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -188,17 +191,69 @@ def write_idx(d: Dataset, images_path, labels_path) -> None:
         f.write(d.labels.astype(np.uint8).tobytes())
 
 
-def _row_blocks(n: int, row_bytes: int):
-    """(lo, hi) bounds of the row blocks a corpus of n rows is built in."""
-    step = max(1, _ROWS_BLOCK_BYTES // row_bytes)
-    return ((lo, min(n, lo + step)) for lo in range(0, n, step))
+def _usable_cores() -> int:
+    """Cores this process may run on (1 where the platform cannot say).
+    The one thread budget: corpus builds start this many threads and
+    compare_transfer forks at most this many workers."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _fill_blocks(n: int, width: int, fill) -> None:
+    """Call ``fill(lo, hi, buf, steps, scratch)`` once per row block of an
+    (n, width) float64 corpus, on one thread per usable core (at most one
+    per block, the caller's among them).
+
+    ``buf`` is (hi - lo) * width floats of workspace, and ``steps`` and
+    ``scratch`` let _box_muller draw as many.  Each thread's workspace is
+    made here before any thread starts; ``steps`` is read-only and shared.
+    Every thread is joined before this returns, and the first error any of
+    them raised is raised here; the others then stop at their next block.
+    """
+    step = max(1, _ROWS_BLOCK_BYTES // (8 * width))
+    blocks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    draws = min(n, step) * width
+    steps = _gaussian_steps(draws)
+    count = min(len(blocks), _usable_cores())
+    errors = []
+
+    def run(share, buf, scratch):
+        try:
+            for lo, hi in share:
+                if errors:
+                    return
+                fill(lo, hi, buf[:(hi - lo) * width], steps, scratch)
+        except BaseException as e:  # raised again in the caller below
+            errors.append(e)
+
+    shares = [(blocks[i::count], np.empty(draws), _gaussian_scratch(draws))
+              for i in range(count)]
+    threads = [threading.Thread(target=run, args=share) for share in shares[1:]]
+    for t in threads:
+        t.start()
+    try:
+        run(*shares[0])
+    finally:
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
+def _finite(**values: float) -> None:
+    """Refuse an infinite or NaN generator argument, naming it."""
+    for name, v in values.items():
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
 
 
 def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
                 seed: int) -> Dataset:
     """Gaussian blobs around seeded class centers; labels are the true class."""
+    _finite(spread=spread)
     if spread <= 0:
         raise ValueError(f"spread must be positive, got {spread}")
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
     if n < num_classes:
@@ -207,10 +262,17 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
     centers = rng.fill_gaussian(num_classes * dim).reshape(num_classes, dim)
     labels = rng.fill_below(n, num_classes)
     samples = np.empty((n, dim))
+
     # the noise of rows [lo, hi) is that range of one fill_gaussian(n * dim)
-    for lo, hi in _row_blocks(n, 8 * dim):
-        noise = rng.gaussian_range(n * dim, lo * dim, hi * dim).reshape(hi - lo, dim)
-        np.add(centers[labels[lo:hi]], spread * noise, out=samples[lo:hi])
+    def fill(lo, hi, noise, steps, scratch):
+        _box_muller(rng.state, n * dim, lo * dim, hi * dim, noise, steps, scratch)
+        noise *= spread
+        out = samples[lo:hi]
+        # the labels are in range, and with mode="raise" take would copy via a buffer
+        np.take(centers, labels[lo:hi], axis=0, out=out, mode="clip")
+        out += noise.reshape(out.shape)
+
+    _fill_blocks(n, dim, fill)
     return Dataset(samples, labels, num_classes)
 
 
@@ -231,8 +293,11 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
         raise ValueError("num_classes must be positive")
     if n < 1:
         raise ValueError("n must be positive")
+    if size < 1:
+        raise ValueError(f"size must be >= 1, got {size}")
     if bumps < 0:
         raise ValueError("bumps must be >= 0")
+    _finite(jitter=jitter, noise=noise, clutter=clutter)
     rng = Prng(seed)
     labels = rng.fill_below(n, num_classes)
 
@@ -252,23 +317,34 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
                        clutter * (0.5 + 0.5 * rng.fill_float(n)),
                        size * (0.05 + 0.04 * rng.fill_float(n))))
 
-    yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
+    coords = np.arange(size, dtype=np.float64)
     pixels = size * size
     samples = np.empty((n, size, size))
-    for lo, hi in _row_blocks(n, 8 * pixels):
-        img = np.zeros((hi - lo, size, size))
+
+    def fill(lo, hi, buf, steps, scratch):
+        img, term = samples[lo:hi], buf.reshape(hi - lo, size, size)
+        img.fill(0.0)
         for shape in shapes:
             cy, cx, amp, sigma = (v[lo:hi, None, None] for v in shape)
-            d2 = (yy - cy) ** 2 + (xx - cx) ** 2
-            img += amp * np.exp(-d2 / (2.0 * sigma ** 2))
+            # (y - cy)^2 + (x - cx)^2 from a (B, size, 1) and a (B, 1, size) term
+            np.add((coords[:, None] - cy) ** 2, (coords - cx) ** 2, out=term)
+            # -d2 / (2 sigma^2), with the sign moved to the divisor: same bits
+            np.divide(term, -2.0 * sigma ** 2, out=term)
+            np.exp(term, out=term)
+            term *= amp
+            img += term
         # the noise of rows [lo, hi) is that range of one fill_gaussian(n * pixels)
-        img += noise * rng.gaussian_range(n * pixels, lo * pixels,
-                                          hi * pixels).reshape(img.shape)
+        _box_muller(rng.state, n * pixels, lo * pixels, hi * pixels, buf,
+                    steps, scratch)
+        term *= noise
+        img += term
         # quantize to 256 gray levels
         np.clip(img, 0.0, 1.0, out=img)
         img *= 255.0
         np.rint(img, out=img)
-        np.divide(img, 255.0, out=samples[lo:hi])
+        img /= 255.0
+
+    _fill_blocks(n, pixels, fill)
     return Dataset(samples, labels, num_classes)
 
 

@@ -249,12 +249,12 @@ class Conv2d(Layer):
                     block[..., i, j] = src[:, i:i + s * oh:s, j:j + s * ow:s]
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        y = _matmul(cols, wmat.T)
-        y += self.b.data
+        y4 = _matmul(cols, wmat.T).reshape(n, oh, ow, self.out_channels)
         self._cache = (cols, (n, h, w), (oh, ow))
-        return np.ascontiguousarray(
-            y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        )
+        # the bias is added while making the NCHW copy: one pass, same sums
+        out = np.empty((n, self.out_channels, oh, ow))
+        np.add(y4.transpose(0, 3, 1, 2), self.b.data[:, None, None], out=out)
+        return out
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = self._take_cache()

@@ -32,12 +32,67 @@ def splitmix64(seed: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix_array(states: np.ndarray) -> np.ndarray:
+def _mix_array(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """splitmix64's output hash of every counter state in ``z``, in place;
+    ``t`` is uint64 scratch of z's shape."""
     # numpy uint64 arithmetic wraps mod 2^64, matching the scalar path
-    z = states
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
+
+
+def _gaussian_steps(count: int) -> np.ndarray:
+    """Counter offsets (i+1)*GOLDEN, i < count//2 + 1, of the Box-Muller
+    pairs a _box_muller block of up to ``count`` draws spans.  Read-only,
+    so threads that write blocks share one."""
+    steps = np.arange(1, count // 2 + 2, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps.setflags(write=False)
+    return steps
+
+
+def _gaussian_scratch(count: int) -> np.ndarray:
+    """One writer's scratch for _box_muller blocks of up to ``count`` draws."""
+    return np.empty((3, count // 2 + 1))
+
+
+def _box_muller(state: int, total: int, lo: int, hi: int, out: np.ndarray,
+                steps: np.ndarray, scratch: np.ndarray) -> None:
+    """Write elements [lo, hi) of ``fill_gaussian(total)`` from a stream at
+    ``state`` into ``out``, using ``steps`` and ``scratch`` made for at
+    least hi - lo draws.
+
+    Pair i of the m = ceil(total/2) pairs takes u1 from counter i+1 and u2
+    from counter m+i+1 and gives outputs 2i (cosine) and 2i+1 (sine), so
+    the range needs only the counters of its own pairs.
+    """
+    m = (total + 1) // 2
+    first = lo // 2
+    pairs = (hi + 1) // 2 - first
+    r, theta, c = scratch[:, :pairs]
+    # u1 in (0, 1] so log() is finite; u2 in [0, 1).  Each is hashed in a
+    # row not yet holding a result, with another free row as scratch
+    for start, z, t, u in ((first, theta, c, r), (m + first, c, theta, theta)):
+        z, t = z.view(np.uint64), t.view(np.uint64)
+        np.add(steps[:pairs], np.uint64((state + start * _GOLDEN) & _MASK64), out=z)
+        _mix_array(z, t)
+        z >>= np.uint64(11)
+        u[...] = z
+    r += 1.0
+    r *= 2.0**-53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0**-53
+    theta *= 2.0 * np.pi
+    # out[0] is a pair's cosine, or its sine when lo is odd
+    odd = lo - 2 * first
+    for fn, dst, skip in ((np.cos, out[odd::2], odd), (np.sin, out[1 - odd::2], 0)):
+        fn(theta, out=c)
+        np.multiply(r[skip:skip + len(dst)], c[skip:skip + len(dst)], out=dst)
 
 
 class Prng:
@@ -61,7 +116,7 @@ class Prng:
         idx = np.arange(1, n + 1, dtype=np.uint64)
         states = np.uint64(self.state) + idx * np.uint64(_GOLDEN)
         self.state = (self.state + n * _GOLDEN) & _MASK64
-        return _mix_array(states)
+        return _mix_array(states, np.empty_like(states))
 
     def next_float(self) -> float:
         """Uniform in [0, 1) with 53 random bits."""
@@ -87,18 +142,17 @@ class Prng:
         return (self.fill_u64(n) % np.uint64(bound)).astype(np.int64)
 
     def fill_gaussian(self, n: int) -> np.ndarray:
-        """``n`` standard normal draws via Box-Muller.
+        """``n`` standard normal draws via Box-Muller (see _box_muller).
 
-        Pair i of the m = ceil(n/2) pairs takes u1 from counter i+1 and u2
-        from counter m+i+1 and gives outputs 2i (cosine) and 2i+1 (sine).
-        The draws are made in blocks by gaussian_range, so the temporaries
-        stay block-sized; the state then moves past all 2m counters.
+        The draws are made in blocks, so the temporaries stay block-sized;
+        the state then moves past all 2*ceil(n/2) counters.
         """
         out = np.empty(n)
-        step = _GAUSSIAN_BLOCK_BYTES // 8
+        step = max(1, min(n, _GAUSSIAN_BLOCK_BYTES // 8))
+        steps, scratch = _gaussian_steps(step), _gaussian_scratch(step)
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            out[lo:hi] = self.gaussian_range(n, lo, hi)
+            _box_muller(self.state, n, lo, hi, out[lo:hi], steps, scratch)
         self.state = (self.state + 2 * ((n + 1) // 2) * _GOLDEN) & _MASK64
         return out
 
@@ -108,20 +162,13 @@ class Prng:
         The stream is counter-based, so the range is drawn without its
         prefix: it is the same bits, and the state does not move.
         """
-        m = (total + 1) // 2
-        first = lo // 2
-        pairs = (hi + 1) // 2 - first
-        # u1 in (0, 1] so log() is finite; u2 in [0, 1)
-        bits1 = Prng(self.state + first * _GOLDEN).fill_u64(pairs)
-        bits2 = Prng(self.state + (m + first) * _GOLDEN).fill_u64(pairs)
-        u1 = ((bits1 >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (bits2 >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
-        out = np.empty(2 * pairs, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[lo - 2 * first:hi - 2 * first]
+        if not 0 <= lo <= hi <= total:
+            raise ValueError(f"range [{lo}, {hi}) is not within the "
+                             f"{total} draws of the stream")
+        out = np.empty(hi - lo)
+        _box_muller(self.state, total, lo, hi, out, _gaussian_steps(hi - lo),
+                    _gaussian_scratch(hi - lo))
+        return out
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of random 64-bit keys.

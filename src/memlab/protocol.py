@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, SplitSpec, assign_random_labels, reshuffle_labels, split
+from .data import (Dataset, SplitSpec, _usable_cores, assign_random_labels,
+                   reshuffle_labels, split)
 from .errors import ConfigError, ShapeError, TrainingDivergedError
 from .nn import (
     Network,
@@ -394,11 +394,10 @@ def _pair_workers(pairs: int):
     # to every import of memlab, compare or not
     import multiprocessing
     if (pairs < 2 or getattr(_transfer_pair, "__code__", None) is not _PAIR_CODE
-            or not hasattr(os, "sched_getaffinity")
             or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return 1, None
-    workers = min(pairs, len(os.sched_getaffinity(0)))
+    workers = min(pairs, _usable_cores())
     set_threads = _blas_thread_setter() if workers > 1 else None
     return (workers, set_threads) if set_threads is not None else (1, None)
 

@@ -1,17 +1,25 @@
 """Dataset construction, IDX files, random labeling, reshuffling, splits."""
 
 import hashlib
+import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memlab
 from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
                     MemlabError, ShapeError, SplitSpec, TruncatedError,
                     assign_random_labels, load_idx, reshuffle_labels, split,
                     splitmix64, synth_blobs, synth_images, write_idx)
+from memlab import data
 from memlab.data import _ROWS_BLOCK_BYTES
 
 CHI2_9_Q999 = 27.877  # 0.999 quantile of chi-square with 9 dof
@@ -232,6 +240,71 @@ class TestSynth:
     def test_blobs_golden(self, args, digest):
         assert corpus_digest(synth_blobs(*args)) == digest
 
+    def test_goldens_with_more_threads_than_cores(self, monkeypatch):
+        # every row block is written by whichever thread takes it; a short
+        # switch interval interleaves them as much as the interpreter can
+        monkeypatch.setattr(data, "_usable_cores", lambda: 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for args, kwargs, digest in IMAGE_DIGESTS:
+                assert corpus_digest(synth_images(*args, **kwargs)) == digest, args
+            for args, digest in BLOB_DIGESTS:
+                assert corpus_digest(synth_blobs(*args)) == digest, args
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs an affinity mask to pin one core")
+    def test_goldens_on_one_core(self, tmp_path):
+        # a fresh interpreter pinned to one cpu builds every corpus on the
+        # calling thread alone
+        src = str(Path(memlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        code = (
+            "import os, sys, pytest\n"
+            "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from memlab.data import _usable_cores\n"
+            "assert _usable_cores() == 1\n"
+            f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '--basetemp', "
+            f"{str(tmp_path / 'pytest')!r}, '-k', 'images_golden or blobs_golden', "
+            f"{__file__!r}]))\n")
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout + run.stderr
+        assert f"{len(IMAGE_DIGESTS) + len(BLOB_DIGESTS)} passed" in run.stdout, run.stdout
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_block_error_is_raised_with_its_type(self, monkeypatch, where):
+        class Boom(Exception):
+            pass
+
+        real, raised_on = data._box_muller, []
+
+        def failing(state, total, lo, hi, *rest):
+            # 28x28 rows: block [0, 41) on the caller, [41, 42) on the helper
+            if (lo > 0) == (where == "helper"):
+                raised_on.append(threading.current_thread())
+                raise Boom(f"block at {lo}")
+            return real(state, total, lo, hi, *rest)
+
+        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(data, "_box_muller", failing)
+        before = threading.active_count()
+        with pytest.raises(Boom) as caught:
+            synth_images(42, 5, seed=1)
+        assert type(caught.value) is Boom
+        assert (raised_on == [threading.main_thread()]) == (where == "caller")
+        assert threading.active_count() == before
+
+    def test_build_leaves_no_thread_behind(self, monkeypatch):
+        monkeypatch.setattr(data, "_usable_cores", lambda: 2)
+        before = threading.active_count()
+        synth_images(200, 5, seed=1)
+        synth_blobs(20000, 4, 5, 0.3, seed=1)
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("row_bytes, ns", [
         (8 * 28 * 28, [a[0] for a, k, _ in IMAGE_DIGESTS if not k]),
         (8 * 9 * 9, [a[0] for a, k, _ in IMAGE_DIGESTS if k.get("size") == 9]),
@@ -280,6 +353,21 @@ class TestSynth:
             synth_blobs(100, 10, 16, 0.0, seed=0)
         with pytest.raises(ValueError):
             synth_blobs(5, 10, 16, 0.5, seed=0)
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: synth_blobs(100, 10, 0, 0.5, seed=0), "dim must be >= 1"),
+        (lambda: synth_blobs(100, 10, 16, math.nan, seed=0), "spread must be finite"),
+        (lambda: synth_blobs(100, 10, 16, math.inf, seed=0), "spread must be finite"),
+        (lambda: synth_images(10, 3, seed=0, size=0), "size must be >= 1"),
+        (lambda: synth_images(10, 3, seed=0, size=-3), "size must be >= 1"),
+        (lambda: synth_images(10, 3, seed=0, noise=math.nan), "noise must be finite"),
+        (lambda: synth_images(10, 3, seed=0, jitter=math.inf), "jitter must be finite"),
+        (lambda: synth_images(10, 3, seed=0, clutter=-math.inf), "clutter must be finite"),
+    ], ids=["dim 0", "spread nan", "spread inf", "size 0", "size -3", "noise nan",
+            "jitter inf", "clutter -inf"])
+    def test_bad_generator_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_images_shape_range_determinism(self):
         a = synth_images(30, 10, seed=7, size=12)

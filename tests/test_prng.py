@@ -118,6 +118,20 @@ def test_gaussian_range_is_a_slice_of_the_full_draw(seed, total, data):
     assert part.tobytes() == full[lo:hi].tobytes()
 
 
+@pytest.mark.parametrize("lo, hi", [(0, 12), (-2, 4), (6, 4)],
+                         ids=["past the end", "before the start", "reversed"])
+def test_gaussian_range_outside_the_stream(lo, hi):
+    rng = Prng(3)
+    with pytest.raises(ValueError, match=r"not within the 10 draws"):
+        rng.gaussian_range(10, lo, hi)
+    assert rng.state == 3
+
+
+def test_gaussian_range_may_be_empty():
+    assert Prng(3).gaussian_range(10, 10, 10).shape == (0,)
+    assert Prng(3).gaussian_range(10, 5, 5).shape == (0,)
+
+
 def test_permutation_is_permutation():
     for seed in range(20):
         perm = Prng(seed).permutation(50)

@@ -421,12 +421,15 @@ class TestCompareTransfer:
                              seeds=[5, 6])
         assert time.monotonic() - start < 60
 
-    @pytest.mark.parametrize("case", ["one seed", "one core", "replaced pair",
-                                      "no thread setter", "daemonic caller"])
+    @pytest.mark.parametrize("case", ["one seed", "one core", "no affinity mask",
+                                      "replaced pair", "no thread setter",
+                                      "daemonic caller"])
     def test_pairs_stay_in_process(self, monkeypatch, case):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0} if case == "one core" else {0, 1},
                             raising=False)
+        if case == "no affinity mask":
+            monkeypatch.delattr(os, "sched_getaffinity")
         if case == "replaced pair":
             monkeypatch.setattr(protocol, "_transfer_pair", lambda *a: None)
         if case == "no thread setter":

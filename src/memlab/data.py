@@ -19,8 +19,7 @@ import numpy as np
 
 from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
                      TruncatedError, require, u64)
-from .prng import (Prng, _box_muller, _gaussian_scratch, _gaussian_steps,
-                   splitmix64)
+from .prng import Prng, _gaussian_writers, splitmix64
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -193,47 +192,55 @@ def write_idx(d: Dataset, images_path, labels_path) -> None:
 
 def _usable_cores() -> int:
     """Cores this process may run on (1 where the platform cannot say).
-    The one thread budget: corpus builds start this many threads and
-    compare_transfer forks at most this many workers."""
+    The one thread budget: corpus builds run on at most this many threads
+    and compare_transfer forks at most this many workers."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 def _fill_blocks(n: int, width: int, fill) -> None:
-    """Call ``fill(lo, hi, buf, steps, scratch)`` once per row block of an
-    (n, width) float64 corpus, on one thread per usable core (at most one
-    per block, the caller's among them).
+    """Call ``fill(lo, hi, buf, draw)`` once per row block of an (n, width)
+    float64 corpus, on one thread per usable core (at most one per block,
+    the caller's among them).
 
-    ``buf`` is (hi - lo) * width floats of workspace, and ``steps`` and
-    ``scratch`` let _box_muller draw as many.  Each thread's workspace is
-    made here before any thread starts; ``steps`` is read-only and shared.
-    Every thread is joined before this returns, and the first error any of
-    them raised is raised here; the others then stop at their next block.
+    ``buf`` is (hi - lo) * width floats of workspace, and ``draw`` is a
+    _gaussian_writers writer for as many draws.  The threads split the rows
+    of two _ROWS_BLOCK_BYTES blocks between their blocks: one or two
+    threads get a whole block each, k > 2 threads get 2/k of one, so the
+    workspace of a build does not grow with the core count.  (Halving the
+    blocks on two cores slowed the build by about a fifth: the interpreter
+    works per block.)  Rows wider than a block are built on the caller
+    alone.  Each
+    thread's workspace is made here before any thread starts.  Every
+    thread is joined before this returns, and the first error any of them
+    raised is raised here; the others then stop at their next block.
     """
-    step = max(1, _ROWS_BLOCK_BYTES // (8 * width))
-    blocks = [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+    rows = max(1, _ROWS_BLOCK_BYTES // (8 * width))
+    threads = min(rows, _usable_cores())
+    step = min(rows, 2 * rows // threads)
+    starts = range(0, n, step)
+    count = min(len(starts), threads)
     draws = min(n, step) * width
-    steps = _gaussian_steps(draws)
-    count = min(len(blocks), _usable_cores())
     errors = []
 
-    def run(share, buf, scratch):
+    def run(first, buf, draw):
         try:
-            for lo, hi in share:
+            for lo in starts[first::count]:
                 if errors:
                     return
-                fill(lo, hi, buf[:(hi - lo) * width], steps, scratch)
+                hi = min(n, lo + step)
+                fill(lo, hi, buf[:(hi - lo) * width], draw)
         except BaseException as e:  # raised again in the caller below
             errors.append(e)
 
-    shares = [(blocks[i::count], np.empty(draws), _gaussian_scratch(draws))
-              for i in range(count)]
-    threads = [threading.Thread(target=run, args=share) for share in shares[1:]]
-    for t in threads:
+    shares = [(i, np.empty(draws), draw)
+              for i, draw in enumerate(_gaussian_writers(draws, count))]
+    helpers = [threading.Thread(target=run, args=share) for share in shares[1:]]
+    for t in helpers:
         t.start()
     try:
         run(*shares[0])
     finally:
-        for t in threads:
+        for t in helpers:
             t.join()
     if errors:
         raise errors[0]
@@ -264,8 +271,8 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
     samples = np.empty((n, dim))
 
     # the noise of rows [lo, hi) is that range of one fill_gaussian(n * dim)
-    def fill(lo, hi, noise, steps, scratch):
-        _box_muller(rng.state, n * dim, lo * dim, hi * dim, noise, steps, scratch)
+    def fill(lo, hi, noise, draw):
+        draw(rng.state, n * dim, lo * dim, hi * dim, noise)
         noise *= spread
         out = samples[lo:hi]
         # the labels are in range, and with mode="raise" take would copy via a buffer
@@ -321,7 +328,7 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
     pixels = size * size
     samples = np.empty((n, size, size))
 
-    def fill(lo, hi, buf, steps, scratch):
+    def fill(lo, hi, buf, draw):
         img, term = samples[lo:hi], buf.reshape(hi - lo, size, size)
         img.fill(0.0)
         for shape in shapes:
@@ -334,8 +341,7 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
             term *= amp
             img += term
         # the noise of rows [lo, hi) is that range of one fill_gaussian(n * pixels)
-        _box_muller(rng.state, n * pixels, lo * pixels, hi * pixels, buf,
-                    steps, scratch)
+        draw(rng.state, n * pixels, lo * pixels, hi * pixels, buf)
         term *= noise
         img += term
         # quantize to 256 gray levels

@@ -9,6 +9,8 @@ reproducible across runs and machines.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
@@ -45,25 +47,11 @@ def _mix_array(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gaussian_steps(count: int) -> np.ndarray:
-    """Counter offsets (i+1)*GOLDEN, i < count//2 + 1, of the Box-Muller
-    pairs a _box_muller block of up to ``count`` draws spans.  Read-only,
-    so threads that write blocks share one."""
-    steps = np.arange(1, count // 2 + 2, dtype=np.uint64) * np.uint64(_GOLDEN)
-    steps.setflags(write=False)
-    return steps
-
-
-def _gaussian_scratch(count: int) -> np.ndarray:
-    """One writer's scratch for _box_muller blocks of up to ``count`` draws."""
-    return np.empty((3, count // 2 + 1))
-
-
-def _box_muller(state: int, total: int, lo: int, hi: int, out: np.ndarray,
+def _box_muller(state: int, total: int, lo: int, hi: int, out: np.ndarray, *,
                 steps: np.ndarray, scratch: np.ndarray) -> None:
     """Write elements [lo, hi) of ``fill_gaussian(total)`` from a stream at
-    ``state`` into ``out``, using ``steps`` and ``scratch`` made for at
-    least hi - lo draws.
+    ``state`` into ``out``, using the ``steps`` and ``scratch`` of a
+    _gaussian_writers writer made for at least hi - lo draws.
 
     Pair i of the m = ceil(total/2) pairs takes u1 from counter i+1 and u2
     from counter m+i+1 and gives outputs 2i (cosine) and 2i+1 (sine), so
@@ -93,6 +81,17 @@ def _box_muller(state: int, total: int, lo: int, hi: int, out: np.ndarray,
     for fn, dst, skip in ((np.cos, out[odd::2], odd), (np.sin, out[1 - odd::2], 0)):
         fn(theta, out=c)
         np.multiply(r[skip:skip + len(dst)], c[skip:skip + len(dst)], out=dst)
+
+
+def _gaussian_writers(draws: int, count: int = 1) -> list:
+    """``count`` Box-Muller block writers ``draw(state, total, lo, hi, out)``,
+    each a _box_muller for blocks of up to ``draws`` draws with its own
+    scratch.  They share one read-only array of the counter offsets
+    (i+1)*GOLDEN, i < draws//2 + 1, so each may run on its own thread."""
+    steps = np.arange(1, draws // 2 + 2, dtype=np.uint64) * np.uint64(_GOLDEN)
+    steps.setflags(write=False)
+    return [partial(_box_muller, steps=steps, scratch=np.empty((3, draws // 2 + 1)))
+            for _ in range(count)]
 
 
 class Prng:
@@ -149,10 +148,10 @@ class Prng:
         """
         out = np.empty(n)
         step = max(1, min(n, _GAUSSIAN_BLOCK_BYTES // 8))
-        steps, scratch = _gaussian_steps(step), _gaussian_scratch(step)
+        draw, = _gaussian_writers(step)
         for lo in range(0, n, step):
             hi = min(n, lo + step)
-            _box_muller(self.state, n, lo, hi, out[lo:hi], steps, scratch)
+            draw(self.state, n, lo, hi, out[lo:hi])
         self.state = (self.state + 2 * ((n + 1) // 2) * _GOLDEN) & _MASK64
         return out
 
@@ -166,8 +165,7 @@ class Prng:
             raise ValueError(f"range [{lo}, {hi}) is not within the "
                              f"{total} draws of the stream")
         out = np.empty(hi - lo)
-        _box_muller(self.state, total, lo, hi, out, _gaussian_steps(hi - lo),
-                    _gaussian_scratch(hi - lo))
+        _gaussian_writers(hi - lo)[0](self.state, total, lo, hi, out)
         return out
 
     def permutation(self, n: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
                     MemlabError, ShapeError, SplitSpec, TruncatedError,
                     assign_random_labels, load_idx, reshuffle_labels, split,
                     splitmix64, synth_blobs, synth_images, write_idx)
-from memlab import data
+from memlab import data, prng
 from memlab.data import _ROWS_BLOCK_BYTES
 
 CHI2_9_Q999 = 27.877  # 0.999 quantile of chi-square with 9 dof
@@ -280,17 +280,17 @@ class TestSynth:
         class Boom(Exception):
             pass
 
-        real, raised_on = data._box_muller, []
+        real, raised_on = prng._box_muller, []
 
-        def failing(state, total, lo, hi, *rest):
+        def failing(state, total, lo, hi, out, **workspace):
             # 28x28 rows: block [0, 41) on the caller, [41, 42) on the helper
             if (lo > 0) == (where == "helper"):
                 raised_on.append(threading.current_thread())
                 raise Boom(f"block at {lo}")
-            return real(state, total, lo, hi, *rest)
+            return real(state, total, lo, hi, out, **workspace)
 
         monkeypatch.setattr(data, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(data, "_box_muller", failing)
+        monkeypatch.setattr(prng, "_box_muller", failing)
         before = threading.active_count()
         with pytest.raises(Boom) as caught:
             synth_images(42, 5, seed=1)
@@ -327,6 +327,27 @@ class TestSynth:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * d.samples.nbytes
+
+    @pytest.mark.parametrize("build", [
+        lambda: synth_images(4000, 10, seed=1),
+        lambda: synth_blobs(4000, 10, 784, 0.5, seed=1),
+    ], ids=["images", "blobs"])
+    def test_build_peak_does_not_grow_with_the_cores(self, monkeypatch, build):
+        # 64 threads split the workspace that two threads use; what they add
+        # is their thread states and temporaries, about 0.25 MB, where a
+        # workspace each added 40 MB
+        peaks, corpora = {}, {}
+        for cores in (2, 64):
+            monkeypatch.setattr(data, "_usable_cores", lambda: cores)
+            tracemalloc.start()
+            try:
+                corpora[cores] = build().samples
+                peaks[cores] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.5 * corpora[64].nbytes
+        assert peaks[64] <= peaks[2] + 4 * _ROWS_BLOCK_BYTES
+        assert corpora[64].tobytes() == corpora[2].tobytes()
 
     def test_blobs_shape_and_determinism(self):
         a = synth_blobs(100, 10, 16, 0.5, seed=4)

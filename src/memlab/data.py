@@ -1,10 +1,10 @@
 """Datasets: IDX ingestion, synthetic corpora, random labeling, splitting.
 
-A Dataset is immutable once built (sample and label arrays are marked
-read-only); every transformation returns a new Dataset.  Each one carries
-its labeling provenance -- true labels, random(seed), or
-reshuffled(seed, round) -- which ends up in run fingerprints, checkpoints
-and plot legends.
+A Dataset is immutable once built (its stored samples and its labels are
+marked read-only); every transformation returns a new Dataset, which takes
+the stored samples as they are, uint8 codes included.  Each one carries its
+labeling provenance -- true labels, random(seed), or reshuffled(seed,
+round) -- which ends up in run fingerprints, checkpoints and plot legends.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .prng import Prng, _gaussian_writers, splitmix64
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# bytes of corpus rows the synthetic generators build per block: they write
+# bytes of float64 rows the synthetic generators build per block: they write
 # the corpus in place and every temporary is about one block, so a build
 # peaks at the corpus plus a few blocks, and those fit the per-core L2
 _ROWS_BLOCK_BYTES = 1 << 18
@@ -50,19 +50,40 @@ class Labeling:
         return f"reshuffled(seed={self.seed}, round={self.round})"
 
 
-@dataclass
 class Dataset:
-    samples: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    labeling: Labeling = field(default_factory=Labeling.true)
+    """n samples with their labels, class count and labeling provenance.
 
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.samples.ndim < 2:
+    The samples are stored in one of two ways, fixed by where they come
+    from.  An 8-bit image corpus (synth_images, load_idx) keeps its uint8
+    gray codes k, and ``rows`` decodes k / 255.0 for just the rows a
+    training step or an evaluation batch reads.  Any other data
+    (synth_blobs, or an array passed to this constructor, uint8 included)
+    is stored as float64.  Either way ``samples`` and ``rows`` give the
+    same float64 values.
+    """
+
+    def __init__(self, samples, labels, num_classes: int,
+                 labeling: Labeling = Labeling.true()):
+        self._set(np.asarray(samples, dtype=np.float64), labels, num_classes,
+                  labeling)
+
+    @classmethod
+    def _stored(cls, data: np.ndarray, labels, num_classes: int,
+                labeling: Labeling = Labeling.true()) -> "Dataset":
+        """A dataset that keeps ``data`` as its storage, uncopied: float64
+        samples, or the uint8 codes of an 8-bit corpus."""
+        d = cls.__new__(cls)
+        d._set(data, labels, num_classes, labeling)
+        return d
+
+    def _set(self, data, labels, num_classes, labeling) -> None:
+        self._data = data
+        self.labels = np.asarray(labels, dtype=np.int64)
+        self.num_classes = num_classes
+        self.labeling = labeling
+        if data.ndim < 2:
             raise ValueError("samples must be (n, ...feature dims)")
-        n = self.samples.shape[0]
+        n = data.shape[0]
         if n < 1:
             raise ValueError("dataset must contain at least one sample")
         if self.labels.shape != (n,):
@@ -75,23 +96,54 @@ class Dataset:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes})"
             )
-        self.samples.setflags(write=False)
+        data.setflags(write=False)
         self.labels.setflags(write=False)
 
     @property
+    def codes(self) -> np.ndarray | None:
+        """The uint8 codes of an 8-bit corpus, or None for float data."""
+        return self._data if self._data.dtype == np.uint8 else None
+
+    @property
+    def samples(self) -> np.ndarray:
+        """Every sample as float64, read-only.  An 8-bit corpus is decoded
+        whole on each access, so memlab itself reads ``rows`` instead."""
+        if self.codes is None:
+            return self._data
+        out = self.rows(slice(None))
+        out.setflags(write=False)
+        return out
+
+    def rows(self, index, out: np.ndarray | None = None) -> np.ndarray:
+        """``samples[index]``, decoding only those rows of an 8-bit corpus:
+        k / 255.0 by true division, as the generator and the IDX loader
+        always made them (a product with 1 / 255 would change bits).
+
+        An 8-bit corpus decodes into the leading rows of ``out`` when it is
+        given, a float64 array with at least as many rows; float storage
+        returns its own rows and leaves ``out`` alone.
+        """
+        picked = self._data[index]
+        if picked.dtype != np.uint8:
+            return picked
+        if out is not None:
+            out = out[:len(picked)]
+        return np.divide(picked, 255.0, out=out, dtype=np.float64)
+
+    @property
     def n(self) -> int:
-        return self.samples.shape[0]
+        return self._data.shape[0]
 
     @property
     def feature_shape(self) -> tuple[int, ...]:
-        return self.samples.shape[1:]
+        return self._data.shape[1:]
 
     def take(self, n: int) -> "Dataset":
         """First n samples (deterministic subsetting of a big corpus)."""
         if not 1 <= n <= self.n:
             raise ValueError(f"cannot take {n} of {self.n} samples")
-        return Dataset(self.samples[:n].copy(), self.labels[:n].copy(),
-                       self.num_classes, self.labeling)
+        return Dataset._stored(self._data[:n].copy(), self.labels[:n].copy(),
+                               self.num_classes, self.labeling)
 
 
 @dataclass(frozen=True)
@@ -112,10 +164,11 @@ class _Reader:
     """
 
     def __init__(self, raw: bytes):
-        self.raw = raw
+        self.raw = memoryview(raw)
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
+        """The next ``count`` bytes: a view of the file's buffer, not a copy."""
         if self.pos + count > len(self.raw):
             raise TruncatedError(f"{what}: need {count} bytes at offset {self.pos}, "
                                  f"file has {len(self.raw)}")
@@ -130,7 +183,7 @@ class _Reader:
         """A u32-length-prefixed UTF-8 string (little-endian length)."""
         raw = self.take(self.unpack("<I", f"{what} length")[0], what)
         try:
-            return raw.decode("utf-8")
+            return bytes(raw).decode("utf-8")
         except UnicodeDecodeError as e:
             raise MemlabError(f"{what}: invalid UTF-8 at offset "
                               f"{self.pos - len(raw) + e.start}") from None
@@ -160,7 +213,9 @@ def _load_idx_array(path, magic_want: int, ndim: int, what: str) -> np.ndarray:
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an image/label IDX pair (big-endian headers, uint8 payloads).
 
-    Pixels come back scaled to [0, 1]; the class count is max(label) + 1.
+    The pixels are an 8-bit corpus: its codes are a view of the image
+    file's bytes, and they read as k / 255 in [0, 1].  The class count is
+    max(label) + 1.
     """
     images = _load_idx_array(images_path, IDX_IMAGE_MAGIC, 3, "images")
     labels = _load_idx_array(labels_path, IDX_LABEL_MAGIC, 1, "labels")
@@ -168,19 +223,23 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise CountMismatchError(
             f"{images.shape[0]} images but {labels.shape[0]} labels"
         )
-    return Dataset(images.astype(np.float64) / 255.0,
-                   labels.astype(np.int64),
-                   int(labels.max()) + 1)
+    return Dataset._stored(images, labels.astype(np.int64), int(labels.max()) + 1)
 
 
 def write_idx(d: Dataset, images_path, labels_path) -> None:
-    """Write a dataset of (n, H, W) images in [0, 1] as an IDX pair."""
+    """Write a dataset of (n, H, W) images in [0, 1] as an IDX pair.
+
+    An 8-bit corpus writes its codes; float samples are rounded to the
+    nearest of 256 gray levels, which gives the same bytes for k / 255.
+    """
     if len(d.feature_shape) != 2:
-        raise ValueError(f"IDX images must be (n, H, W), got {d.samples.shape}")
+        raise ValueError(f"IDX images must be (n, H, W), got {(d.n, *d.feature_shape)}")
     top = int(d.labels.max())
     if top > 255:
         raise MemlabError(f"IDX labels are one byte: label {top} is above 255")
-    pixels = np.clip(np.rint(d.samples * 255.0), 0, 255).astype(np.uint8)
+    pixels = d.codes
+    if pixels is None:
+        pixels = np.clip(np.rint(d.samples * 255.0), 0, 255).astype(np.uint8)
     n, h, w = pixels.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, h, w))
@@ -197,20 +256,20 @@ def _usable_cores() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fill_blocks(n: int, width: int, fill) -> None:
-    """Call ``fill(lo, hi, buf, draw)`` once per row block of an (n, width)
-    float64 corpus, on one thread per usable core (at most one per block,
-    the caller's among them).
+def _fill_blocks(n: int, width: int, fill, planes: int = 1) -> None:
+    """Call ``fill(lo, hi, work, draw)`` once per row block of an (n, width)
+    corpus, on one thread per usable core (at most one per block, the
+    caller's among them).
 
-    ``buf`` is (hi - lo) * width floats of workspace, and ``draw`` is a
-    _gaussian_writers writer for as many draws.  The threads split the rows
-    of two _ROWS_BLOCK_BYTES blocks between their blocks: one or two
-    threads get a whole block each, k > 2 threads get 2/k of one, so the
-    workspace of a build does not grow with the core count.  (Halving the
-    blocks on two cores slowed the build by about a fifth: the interpreter
-    works per block.)  Rows wider than a block are built on the caller
-    alone.  Each
-    thread's workspace is made here before any thread starts.  Every
+    ``work`` is ``planes`` rows of (hi - lo) * width float64 workspace,
+    and ``draw`` is a _gaussian_writers writer for as many draws.  A block
+    holds _ROWS_BLOCK_BYTES of float64 rows.  The threads split the rows
+    of two blocks between their blocks: one or two threads get a whole
+    block each, k > 2 threads get 2/k of one, so the workspace of a build
+    does not grow with the core count.  (Halving the blocks on two cores
+    slowed the build by about a fifth: the interpreter works per block.)
+    Rows wider than a block are built on the caller alone.  Each thread's
+    workspace is made here before any thread starts.  Every
     thread is joined before this returns, and the first error any of them
     raised is raised here; the others then stop at their next block.
     """
@@ -222,17 +281,17 @@ def _fill_blocks(n: int, width: int, fill) -> None:
     draws = min(n, step) * width
     errors = []
 
-    def run(first, buf, draw):
+    def run(first, work, draw):
         try:
             for lo in starts[first::count]:
                 if errors:
                     return
                 hi = min(n, lo + step)
-                fill(lo, hi, buf[:(hi - lo) * width], draw)
+                fill(lo, hi, work[:, :(hi - lo) * width], draw)
         except BaseException as e:  # raised again in the caller below
             errors.append(e)
 
-    shares = [(i, np.empty(draws), draw)
+    shares = [(i, np.empty((planes, draws)), draw)
               for i, draw in enumerate(_gaussian_writers(draws, count))]
     helpers = [threading.Thread(target=run, args=share) for share in shares[1:]]
     for t in helpers:
@@ -271,7 +330,8 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
     samples = np.empty((n, dim))
 
     # the noise of rows [lo, hi) is that range of one fill_gaussian(n * dim)
-    def fill(lo, hi, noise, draw):
+    def fill(lo, hi, work, draw):
+        noise = work[0]
         draw(rng.state, n * dim, lo * dim, hi * dim, noise)
         noise *= spread
         out = samples[lo:hi]
@@ -295,6 +355,7 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
     downloaded; deterministic in the seed.  Raising clutter past ~1 buries
     the class bump among equally bright distractors, which makes the task
     hard for a fresh network and rewards pre-learned bump detectors.
+    The corpus is stored as its 8-bit codes (see Dataset).
     """
     if num_classes < 1:
         raise ValueError("num_classes must be positive")
@@ -326,10 +387,11 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
 
     coords = np.arange(size, dtype=np.float64)
     pixels = size * size
-    samples = np.empty((n, size, size))
+    codes = np.empty((n, size, size), dtype=np.uint8)
 
-    def fill(lo, hi, buf, draw):
-        img, term = samples[lo:hi], buf.reshape(hi - lo, size, size)
+    # each block is summed in float64 workspace, then quantized into its codes
+    def fill(lo, hi, work, draw):
+        img, term = (plane.reshape(hi - lo, size, size) for plane in work)
         img.fill(0.0)
         for shape in shapes:
             cy, cx, amp, sigma = (v[lo:hi, None, None] for v in shape)
@@ -341,17 +403,16 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
             term *= amp
             img += term
         # the noise of rows [lo, hi) is that range of one fill_gaussian(n * pixels)
-        draw(rng.state, n * pixels, lo * pixels, hi * pixels, buf)
+        draw(rng.state, n * pixels, lo * pixels, hi * pixels, work[1])
         term *= noise
         img += term
-        # quantize to 256 gray levels
+        # quantize to 256 gray levels: code k is the value k / 255
         np.clip(img, 0.0, 1.0, out=img)
         img *= 255.0
-        np.rint(img, out=img)
-        img /= 255.0
+        np.rint(img, out=codes[lo:hi], casting="unsafe")
 
-    _fill_blocks(n, pixels, fill)
-    return Dataset(samples, labels, num_classes)
+    _fill_blocks(n, pixels, fill, planes=2)
+    return Dataset._stored(codes, labels, num_classes)
 
 
 def assign_random_labels(d: Dataset, seed: int,
@@ -363,7 +424,7 @@ def assign_random_labels(d: Dataset, seed: int,
     """
     k = d.num_classes if num_classes is None else int(num_classes)
     labels = Prng(seed).fill_below(d.n, k)
-    return Dataset(d.samples, labels, k, Labeling("random", seed=int(seed)))
+    return Dataset._stored(d._data, labels, k, Labeling("random", seed=int(seed)))
 
 
 def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
@@ -377,8 +438,8 @@ def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
         raise ValueError(f"round must be >= 1, got {round}")
     derived = splitmix64((int(base_seed) ^ int(round)) & ((1 << 64) - 1))
     relabeled = assign_random_labels(d, derived)
-    return Dataset(relabeled.samples, relabeled.labels, relabeled.num_classes,
-                   Labeling("reshuffled", seed=int(base_seed), round=int(round)))
+    return Dataset._stored(relabeled._data, relabeled.labels, relabeled.num_classes,
+                           Labeling("reshuffled", seed=int(base_seed), round=int(round)))
 
 
 def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -391,5 +452,5 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
         )
     order = Prng(spec.seed).permutation(d.n)
     tr, va = order[:n_train], order[n_train:]
-    return (Dataset(d.samples[tr], d.labels[tr], d.num_classes, d.labeling),
-            Dataset(d.samples[va], d.labels[va], d.num_classes, d.labeling))
+    return (Dataset._stored(d._data[tr], d.labels[tr], d.num_classes, d.labeling),
+            Dataset._stored(d._data[va], d.labels[va], d.num_classes, d.labeling))

@@ -76,7 +76,7 @@ def load_checkpoint(path) -> Checkpoint:
     shape, and every value must be finite."""
     with open(path, "rb") as f:
         r = _Reader(f.read())
-    magic = r.take(4, "magic")
+    magic = bytes(r.take(4, "magic"))
     if magic != CHECKPOINT_MAGIC:
         raise BadMagicError(
             f"magic {magic!r}, expected {CHECKPOINT_MAGIC!r}"

@@ -133,7 +133,7 @@ def run_fingerprint(cfg: TrainConfig, d: Dataset) -> str:
     for k, v in cfg.fingerprint_items():
         h.update(f"{k}={v};".encode())
     h.update(f"labeling={d.labeling.describe()};".encode())
-    h.update(f"shape={d.samples.shape};classes={d.num_classes};".encode())
+    h.update(f"shape={(d.n, *d.feature_shape)};classes={d.num_classes};".encode())
     return h.hexdigest()
 
 
@@ -147,16 +147,32 @@ def _checkpoint_of(net: Network, d: Dataset, cfg: TrainConfig,
     return Checkpoint(net.descriptor, net.state_tensors(), provenance)
 
 
-def evaluate(net: Network, d: Dataset) -> tuple[float, float]:
-    """Full-dataset mean loss and argmax accuracy.  Pure read of the net."""
+def _eval_scratch(d: Dataset) -> np.ndarray | None:
+    """A buffer for evaluate to decode the batches of ``d`` into, or None
+    for float storage, whose batches are views.  (Made for float storage
+    too, it went unused and still raised conv's peak RSS by about 1 MiB.)"""
+    if d.codes is None:
+        return None
+    return np.empty((min(d.n, _EVAL_BATCH), *d.feature_shape))
+
+
+def evaluate(net: Network, d: Dataset,
+             scratch: np.ndarray | None = None) -> tuple[float, float]:
+    """Full-dataset mean loss and argmax accuracy.  Pure read of the net.
+
+    The batches are decoded into ``scratch``, from _eval_scratch(d), or
+    into a buffer made per call when it is None.
+    """
     if net.num_classes != d.num_classes:
         raise ShapeError(
             f"head width {net.num_classes} != dataset classes {d.num_classes}"
         )
+    if scratch is None:
+        scratch = _eval_scratch(d)
     loss_sum = 0.0
     hits = 0
     for lo in range(0, d.n, _EVAL_BATCH):
-        xb = d.samples[lo:lo + _EVAL_BATCH]
+        xb = d.rows(slice(lo, lo + _EVAL_BATCH), out=scratch)
         yb = d.labels[lo:lo + _EVAL_BATCH]
         logits = net.forward(xb)
         loss, _ = softmax_cross_entropy(logits, yb)
@@ -186,6 +202,10 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
     sched = PlateauScheduler(cfg.initial_lr, cfg.patience, cfg.decay_factor,
                              cfg.min_lr, mode)
     n = train_d.n
+    # one decode buffer for the round's validation passes: with a buffer made
+    # per pass, malloc gave the pages back when the pass freed it, and the next
+    # pass faulted them in again (about 1000 page faults a pass on transfer)
+    scratch = _eval_scratch(val_d) if val_d is not None else None
     for epoch in range(1, cfg.epochs + 1):
         order = Prng(shuffle_seed(cfg.seed, round, epoch)).permutation(n)
         log.absorb_order(order)
@@ -194,7 +214,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
         hits = 0
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            logits = net.forward(train_d.samples[idx])
+            logits = net.forward(train_d.rows(idx))
             loss, dlogits = softmax_cross_entropy(logits, train_d.labels[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
@@ -206,7 +226,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
             opt.step()
         train_loss = loss_sum / n
         log.append(EpochRecord(round, epoch, "train", train_loss, hits / n, lr_used))
-        val_metrics = evaluate(net, val_d) if val_d is not None else None
+        val_metrics = evaluate(net, val_d, scratch) if val_d is not None else None
         if val_metrics is not None:
             log.append(EpochRecord(round, epoch, "val",
                                    val_metrics[0], val_metrics[1], lr_used))

@@ -11,8 +11,10 @@ import threading
 import tracemalloc
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import memlab
 from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
@@ -151,6 +153,86 @@ class TestIdx:
         write_idx(top, ip, lp)
         assert np.array_equal(load_idx(ip, lp).labels, [255, 0])
 
+    def test_load_makes_no_copy_of_the_payload(self, tmp_path):
+        # the codes are a view of the one read buffer; a copy of the payload
+        # and two float64 arrays once took the peak to about 9x the files
+        rng = np.random.default_rng(0)
+        pixels = rng.integers(0, 256, 2000 * 784, dtype=np.uint8)
+        ip, lp = write_pair(tmp_path, image_bytes(2000, 28, 28, pixels),
+                            label_bytes(2000, rng.integers(0, 10, 2000, dtype=np.uint8)))
+        size = ip.stat().st_size + lp.stat().st_size
+        tracemalloc.start()
+        try:
+            d = load_idx(ip, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.codes.tobytes() == ip.read_bytes()[16:]
+        assert peak <= 1.5 * size
+
+    def test_float_samples_round_to_their_codes(self):
+        # write_idx's float path gives a coded dataset's bytes: k/255 -> k
+        k = np.arange(256)
+        assert np.array_equal(np.rint((k / 255.0) * 255.0), k)
+
+
+_CODES = st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda shape: st.tuples(
+        st.binary(min_size=math.prod(shape), max_size=math.prod(shape)).map(
+            lambda raw: np.frombuffer(raw, dtype=np.uint8).reshape(shape)),
+        st.lists(st.integers(0, 255), min_size=shape[0], max_size=shape[0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_CODES, coded=st.booleans())
+def test_idx_round_trip_keeps_codes_and_bytes(tmp_path_factory, case, coded):
+    codes, labels = case
+    k = max(labels) + 1
+    d = (Dataset._stored(codes.copy(), labels, k) if coded
+         else Dataset(codes / 255.0, labels, k))
+    assert (d.codes is not None) == coded
+    ip, lp = (tmp_path_factory.getbasetemp() / name for name in ("i.idx", "l.idx"))
+    write_idx(d, ip, lp)
+    back = load_idx(ip, lp)
+    assert np.array_equal(back.codes, codes)
+    assert np.array_equal(back.labels, labels)
+    assert back.samples.tobytes() == d.samples.tobytes()
+
+
+def _mutants(raw):
+    """A truncation of ``raw``, or ``raw`` with 1-3 of its bits flipped."""
+    bits = len(raw) * 8
+    truncations = st.integers(0, len(raw) - 1).map(lambda cut: raw[:cut])
+
+    def flip(positions):
+        out = bytearray(raw)
+        for bit in positions:
+            out[bit // 8] ^= 1 << (bit % 8)
+        return bytes(out)
+    flips = st.lists(st.integers(0, bits - 1), min_size=1, max_size=3,
+                     unique=True).map(flip)
+    return truncations | flips
+
+
+_PAIR = (image_bytes(3, 2, 3, np.random.default_rng(5).integers(0, 256, 18, dtype=np.uint8)),
+         label_bytes(3, [2, 0, 3]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(which=st.sampled_from([0, 1]), data=st.data())
+def test_mutated_idx_pair_is_typed_error_or_its_payload(tmp_path_factory, which, data):
+    files = list(_PAIR)
+    files[which] = data.draw(_mutants(files[which]))
+    ip, lp = (tmp_path_factory.getbasetemp() / name for name in ("i.idx", "l.idx"))
+    ip.write_bytes(files[0])
+    lp.write_bytes(files[1])
+    try:
+        d = load_idx(ip, lp)
+    except MemlabError:
+        return
+    assert d.codes.tobytes() == files[0][16:]
+    assert d.labels.tolist() == list(files[1][8:])
+
 
 class TestDataset:
     def test_validation(self):
@@ -171,6 +253,46 @@ class TestDataset:
             d.samples[0, 0] = 1.0
         with pytest.raises(ValueError):
             d.labels[0] = 1
+
+    def test_coded_samples_are_the_read_only_decode(self):
+        d = synth_images(30, 5, seed=2, size=6)
+        assert d.codes.dtype == np.uint8 and d.codes.shape == (30, 6, 6)
+        want = d.codes.astype(np.float64) / 255.0
+        s = d.samples
+        assert s.dtype == np.float64 and s.tobytes() == want.tobytes()
+        with pytest.raises(ValueError):
+            s[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            d.codes[0, 0, 0] = 1
+        idx = np.array([7, 0, 29, 7])
+        assert d.rows(idx).tobytes() == want[idx].tobytes()
+        assert d.rows(slice(3, 9)).tobytes() == want[3:9].tobytes()
+        buf = np.empty((8, 6, 6))
+        got = d.rows(slice(24, 30), out=buf)
+        assert got.base is buf and got.tobytes() == want[24:30].tobytes()
+        assert (d.n, d.feature_shape) == (30, (6, 6))
+
+    def test_array_in_the_constructor_is_float_storage(self):
+        # a uint8 array keeps meaning 0..255: only the generator and the
+        # loader store codes
+        d = Dataset(np.full((2, 3), 255, dtype=np.uint8), [0, 1], 2)
+        assert d.codes is None
+        assert d.samples.dtype == np.float64 and d.samples.max() == 255.0
+        assert d.rows([1]).tobytes() == d.samples[[1]].tobytes()
+        buf = np.full((1, 3), 7.0)
+        assert d.rows(slice(0, 1), out=buf).base is d.samples
+        assert (buf == 7.0).all()
+
+    def test_transformations_pass_the_codes_through(self):
+        d = synth_images(40, 4, seed=3, size=5)
+        assert assign_random_labels(d, seed=1).codes is d.codes
+        assert reshuffle_labels(d, base_seed=1, round=2).codes is d.codes
+        head = d.take(6)
+        assert np.array_equal(head.codes, d.codes[:6])
+        tr, va = split(d, SplitSpec(0.75, seed=4))
+        order = memlab.Prng(4).permutation(40)
+        assert np.array_equal(tr.codes, d.codes[order[:30]])
+        assert np.array_equal(va.codes, d.codes[order[30:]])
 
     def test_take(self):
         d = synth_blobs(10, 2, 4, 0.5, seed=0)

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from memlab import (ConfigError, Dataset, EpochRecord, Labeling, MetricsLog,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
                     synth_blobs, synth_images, train, write_metrics_csv)
 from memlab import protocol
+from memlab.cli import dispatch
 from memlab.protocol import run_fingerprint, shuffle_seed
 
 
@@ -472,6 +474,103 @@ class TestCompareTransfer:
             float(np.std([0.2, -0.05], ddof=1)))
         single = TransferReport([0], [0.5], [0.6])
         assert single.std_difference == 0.0
+
+
+IMAGES_COMPARE_CFG = """\
+data.kind = synth_images
+data.n = 60
+data.classes = 3
+data.seed = 1
+data.size = 8
+target.kind = synth_images
+target.n = 40
+target.classes = 3
+target.seed = 2
+target.size = 8
+arch = flatten dense:8 relu
+epochs = 1
+lr = 0.05
+batch_size = 16
+seeds = 0,1
+"""
+
+
+class TestCodedCorpora:
+    """8-bit corpora are stored as codes and decoded a batch at a time."""
+
+    def float_twin(self, d):
+        return Dataset(d.samples, d.labels, d.num_classes, d.labeling)
+
+    def test_run_fingerprint_ignores_the_storage(self):
+        d = synth_images(20, 3, seed=1, size=6)
+        assert d.codes is not None
+        assert run_fingerprint(blob_cfg(), d) == run_fingerprint(blob_cfg(), self.float_twin(d))
+
+    def test_training_sees_the_same_values_as_float_storage(self):
+        d = synth_images(60, 3, seed=4, size=6)
+        runs = []
+        for data in (d, self.float_twin(d)):
+            tr, va = split(data, SplitSpec(0.75, seed=2))
+            ckpt, log = train(fresh_net(tr, "flatten dense:8 relu"), tr, va,
+                              blob_cfg(epochs=2, monitor="val_accuracy"))
+            runs.append((ckpt.tensors, log.records))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(runs[0][0], runs[1][0]))
+        assert runs[0][1] == runs[1][1]
+
+    def test_round_decodes_every_validation_pass_into_one_buffer(self, monkeypatch):
+        d = synth_images(80, 3, seed=5, size=6)
+        tr, va = split(d, SplitSpec(0.5, seed=1))
+        real, buffers = protocol.evaluate, []
+
+        def spy(net, data, scratch=None):
+            buffers.append(scratch)
+            return real(net, data, scratch)
+        monkeypatch.setattr(protocol, "evaluate", spy)
+        train(fresh_net(tr, "flatten dense:8 relu"), tr, va,
+              blob_cfg(epochs=3, monitor="val_accuracy"))
+        assert len(buffers) == 3 and buffers[0] is not None
+        assert all(b is buffers[0] for b in buffers)
+
+    def test_transfer_peaks_below_the_decoded_source(self, monkeypatch):
+        source = synth_images(2000, 10, seed=3)
+        target = synth_images(200, 10, seed=4)
+        monkeypatch.setattr(protocol, "_pair_workers", lambda pairs: (1, None))
+        tracemalloc.start()
+        try:
+            compare_transfer(source, target, "flatten dense:16 relu",
+                             blob_cfg(epochs=1, batch_size=32), blob_cfg(epochs=1),
+                             seeds=[0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < source.n * 28 * 28 * 8
+
+    @pytest.mark.parametrize("run", ["compare_transfer", "reshuffle_experiment",
+                                     "memlab compare"])
+    def test_no_whole_corpus_is_decoded(self, monkeypatch, tmp_path, run):
+        whole = Dataset.samples
+
+        def samples(d):
+            if d.codes is not None:
+                raise AssertionError("a whole 8-bit corpus was decoded")
+            return whole.fget(d)
+        monkeypatch.setattr(Dataset, "samples", property(samples))
+        source = synth_images(60, 3, seed=1, size=8)
+        cfg = blob_cfg(epochs=1)
+        if run == "compare_transfer":
+            report = compare_transfer(source, synth_images(40, 3, seed=2, size=8),
+                                      "flatten dense:8 relu", cfg, cfg, seeds=[0, 1])
+            assert len(report.pretrained) == 2
+        elif run == "reshuffle_experiment":
+            _, log = reshuffle_experiment(source, "flatten dense:8 relu", cfg,
+                                          rounds=2, epochs_per_round=1, base_seed=3)
+            assert log.rounds() == [1, 2]
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(IMAGES_COMPARE_CFG)
+            assert dispatch(["compare", "--config", str(path),
+                             "--out", str(tmp_path / "cmp")]) == 0
+            assert len((tmp_path / "cmp" / "report.csv").read_text().splitlines()) == 3
 
 
 def test_import_loads_no_process_pool():

@@ -34,6 +34,14 @@ _COLS_BLOCK_BYTES = 1 << 20
 # products to equal bits at 1, 2 and 3 threads.
 _GEMM_Q = 384
 _GEMM_ALIGN = 32
+# The same build hands a product of at most _GEMM_SMALL multiply-adds
+# (M*N*K) to its small-matrix kernels on AVX-512 cores, which sum in
+# another order than the blocked kernels, and a one-row product to gemv.
+# So a row of x @ W keeps its bits in a product over fewer rows only when
+# it keeps its place in the kernels' row tiles, both products have more
+# than one row, and both lie on the same side of this bound;
+# tests/test_protocol.py holds evaluate's row slices to that.
+_GEMM_SMALL = 100 ** 3
 
 
 def _positive(name: str, value: int) -> int:
@@ -41,6 +49,17 @@ def _positive(name: str, value: int) -> int:
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value
+
+
+def _k_bounds(k: int) -> list[int]:
+    """Bounds of the K panels _matmul sums a product of inner dimension k
+    over, from 0 to k: one panel unless threaded dgemm's split could
+    change the bits."""
+    if k <= _GEMM_Q or k % _GEMM_ALIGN == 0:
+        return [0, k]
+    bounds = list(range(0, k - _GEMM_Q + 1, _GEMM_Q))
+    lo = bounds[-1]
+    return bounds + [lo + (k - lo + 1) // 2, k]
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -53,14 +72,9 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     [584:784].  Each panel is thread-independent, and the sum equals the
     plain product wherever OpenBLAS threads it.
     """
-    k = a.shape[1]
-    if k <= _GEMM_Q or k % _GEMM_ALIGN == 0:
-        return np.matmul(a, b, out=out)
-    cuts = list(range(_GEMM_Q, k - _GEMM_Q + 1, _GEMM_Q))
-    lo = cuts[-1] if cuts else 0
-    cuts += [lo + (k - lo + 1) // 2, k]
-    y = np.matmul(a[:, :cuts[0]], b[:cuts[0]], out=out)
-    for lo, hi in zip(cuts, cuts[1:]):
+    bounds = _k_bounds(a.shape[1])
+    y = np.matmul(a[:, :bounds[1]], b[:bounds[1]], out=out)
+    for lo, hi in zip(bounds[1:-1], bounds[2:]):
         y += a[:, lo:hi] @ b[lo:hi]
     return y
 
@@ -76,6 +90,15 @@ class Layer:
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def forward_floats(self, in_shape: tuple[int, ...]) -> int:
+        """Floats per sample in the widest array forward makes."""
+        return int(np.prod(self.output_shape(in_shape)))
+
+    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
+        """Multiply-adds (M*N*K) per sample of each BLAS product forward
+        computes, one entry per K panel of _matmul."""
+        return []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -125,6 +148,10 @@ class Dense(Layer):
                 f"{self.in_features}, got {in_shape}"
             )
         return (self.out_features,)
+
+    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
+        bounds = _k_bounds(self.in_features)
+        return [self.out_features * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = x
@@ -228,6 +255,21 @@ class Conv2d(Layer):
                 f"{self.describe()}: input {in_shape} smaller than kernel"
             )
         return (self.out_channels, oh, ow)
+
+    def forward_floats(self, in_shape: tuple[int, ...]) -> int:
+        # the im2col rows, c*k*k values per output position, are the widest
+        # unless the padded copy of the input or the output is wider
+        c, h, w = in_shape
+        oh, ow = self._out_hw(h, w)
+        p = self.padding
+        return max(oh * ow * c * self.kernel ** 2, (h + 2 * p) * (w + 2 * p) * c,
+                   oh * ow * self.out_channels)
+
+    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
+        oh, ow = self._out_hw(*in_shape[1:])
+        bounds = _k_bounds(self.in_channels * self.kernel ** 2)
+        return [oh * ow * self.out_channels * (hi - lo)
+                for lo, hi in zip(bounds, bounds[1:])]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         n, c, h, w = x.shape

@@ -33,7 +33,9 @@ class Network:
         self.layers = list(layers)
         self.head = head
         self.input_shape = shape = _input_dims(input_shape)
+        in_shapes = []
         for i, layer in enumerate(self.layers):
+            in_shapes.append(shape)
             try:
                 shape = layer.output_shape(shape)
             except ShapeError as e:
@@ -43,6 +45,14 @@ class Network:
             head.output_shape(shape)
         except ShapeError as e:
             raise ShapeError(f"head ({head.describe()}): {e}") from None
+        in_shapes.append(shape)
+        # per sample, what evaluate sizes its row slices by: the floats of the
+        # widest array a forward makes, and the multiply-adds of each product
+        walk = list(zip(self.all_layers, in_shapes))
+        self.sample_floats = max([int(np.prod(self.input_shape))]
+                                 + [layer.forward_floats(s) for layer, s in walk])
+        self.sample_products = [m for layer, s in walk
+                                for m in layer.forward_products(s)]
         self._first_params = next(i for i, layer in enumerate(self.all_layers)
                                   if layer.params())
 

@@ -92,6 +92,10 @@ def load_checkpoint(path) -> Checkpoint:
     for i in range(count):
         (rank,) = r.unpack("<B", f"tensor {i} rank")
         dims = r.unpack(f"<{rank}I", f"tensor {i} dims")
+        # no parameter has a zero dim, and with one the product is 0 whatever
+        # the other dims are, so the element limit below would not see them
+        if 0 in dims:
+            raise ShapeError(f"tensor {i} dims {dims} include a zero")
         total = math.prod(dims)
         if total > _MAX_ELEMENTS:
             raise ShapeError(f"tensor {i} dims {dims} overflow the element limit")

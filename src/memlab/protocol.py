@@ -28,6 +28,7 @@ from .nn import (
     predictions,
     softmax_cross_entropy,
 )
+from .nn.layers import _GEMM_SMALL
 from .prng import Prng, derive_seed, splitmix64
 
 SPLITS = ("train", "val")
@@ -37,6 +38,12 @@ _ORDER_TAG = 0x53485546_464C4531
 _LABEL_TAG = 0x4C41424C_53454544
 
 _EVAL_BATCH = 256
+# evaluate runs the forward of each batch in row slices whose widest array
+# fits about this many bytes: one slice per batch for the MLPs of the
+# benchmark, 64 rows for its conv net, whose im2col rows take 56 KB a sample
+_EVAL_SLICE_BYTES = 4 << 20
+# a slice is a whole multiple of this many rows, at least one multiple
+_EVAL_SLICE_ALIGN = 32
 
 
 @dataclass(frozen=True)
@@ -147,20 +154,45 @@ def _checkpoint_of(net: Network, d: Dataset, cfg: TrainConfig,
     return Checkpoint(net.descriptor, net.state_tensors(), provenance)
 
 
-def _eval_scratch(d: Dataset) -> np.ndarray | None:
-    """A buffer for evaluate to decode the batches of ``d`` into, or None
-    for float storage, whose batches are views.  (Made for float storage
+def _eval_slices(net: Network, m: int) -> list[int]:
+    """Bounds of the row slices evaluate runs a batch of m rows through.
+
+    A slice is the most whole multiples of _EVAL_SLICE_ALIGN rows whose
+    widest array fits _EVAL_SLICE_BYTES, and at least one.  Each logit keeps
+    the bits the whole batch gives it only while every product of a slice
+    lies on the batch's side of _GEMM_SMALL, so a slice is widened until it
+    does, and a last slice shorter than that is joined to the one before.
+    """
+    align = _EVAL_SLICE_ALIGN
+    least = align
+    for madds in net.sample_products:
+        if m * madds > _GEMM_SMALL:
+            least = max(least, -(-(_GEMM_SMALL // madds + 1) // align) * align)
+    rows = max(least, _EVAL_SLICE_BYTES // (8 * net.sample_floats) // align * align)
+    bounds = list(range(0, m, rows))
+    if len(bounds) > 1 and m - bounds[-1] < least:
+        bounds.pop()
+    return bounds + [m]
+
+
+def _eval_scratch(net: Network, d: Dataset) -> np.ndarray | None:
+    """A buffer for evaluate to decode the slices of ``d`` into, or None
+    for float storage, whose slices are views.  (Made for float storage
     too, it went unused and still raised conv's peak RSS by about 1 MiB.)"""
     if d.codes is None:
         return None
-    return np.empty((min(d.n, _EVAL_BATCH), *d.feature_shape))
+    batches = {min(d.n, _EVAL_BATCH), d.n % _EVAL_BATCH} - {0}
+    rows = max(int(np.diff(_eval_slices(net, m)).max()) for m in batches)
+    return np.empty((rows, *d.feature_shape))
 
 
 def evaluate(net: Network, d: Dataset,
              scratch: np.ndarray | None = None) -> tuple[float, float]:
     """Full-dataset mean loss and argmax accuracy.  Pure read of the net.
 
-    The batches are decoded into ``scratch``, from _eval_scratch(d), or
+    The loss and the hits are taken over batches of _EVAL_BATCH rows, whose
+    logits are filled slice by slice (_eval_slices).  Slices of an 8-bit
+    corpus are decoded into ``scratch``, from _eval_scratch(net, d), or
     into a buffer made per call when it is None.
     """
     if net.num_classes != d.num_classes:
@@ -168,16 +200,19 @@ def evaluate(net: Network, d: Dataset,
             f"head width {net.num_classes} != dataset classes {d.num_classes}"
         )
     if scratch is None:
-        scratch = _eval_scratch(d)
+        scratch = _eval_scratch(net, d)
+    logits = np.empty((min(d.n, _EVAL_BATCH), net.num_classes))
     loss_sum = 0.0
     hits = 0
     for lo in range(0, d.n, _EVAL_BATCH):
-        xb = d.rows(slice(lo, lo + _EVAL_BATCH), out=scratch)
         yb = d.labels[lo:lo + _EVAL_BATCH]
-        logits = net.forward(xb)
-        loss, _ = softmax_cross_entropy(logits, yb)
-        loss_sum += loss * xb.shape[0]
-        hits += int((predictions(logits) == yb).sum())
+        out = logits[:yb.size]
+        bounds = _eval_slices(net, yb.size)
+        for a, b in zip(bounds, bounds[1:]):
+            out[a:b] = net.forward(d.rows(slice(lo + a, lo + b), out=scratch))
+        loss, _ = softmax_cross_entropy(out, yb)
+        loss_sum += loss * yb.size
+        hits += int((predictions(out) == yb).sum())
     return loss_sum / d.n, hits / d.n
 
 
@@ -205,7 +240,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
     # one decode buffer for the round's validation passes: with a buffer made
     # per pass, malloc gave the pages back when the pass freed it, and the next
     # pass faulted them in again (about 1000 page faults a pass on transfer)
-    scratch = _eval_scratch(val_d) if val_d is not None else None
+    scratch = _eval_scratch(net, val_d) if val_d is not None else None
     for epoch in range(1, cfg.epochs + 1):
         order = Prng(shuffle_seed(cfg.seed, round, epoch)).permutation(n)
         log.absorb_order(order)

@@ -6,7 +6,9 @@ which Prng.fill_gaussian (drawing in blocks) must match in every bit and
 in the state it leaves.
 
 ReferenceConv2d builds its im2col matrix as one contiguous copy of a 6-D
-transposed window view; ReferenceMaxPool2d takes argmax over a copied
+transposed window view and scatters its input gradient offset by offset;
+its products go through nn.layers._matmul like the layer's, since what it
+checks is the layout and the scatter, not the product.  ReferenceMaxPool2d takes argmax over a copied
 window view and scatters its gradient with np.add.at.  Both keep the
 parameters and constructor of the layer they shadow, so a test can load the
 same weights into either and compare outputs with .tobytes().
@@ -16,6 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memlab import Conv2d, MaxPool2d
+from memlab.nn.layers import _matmul
 
 
 def reference_fill_gaussian(rng, n):
@@ -41,7 +44,7 @@ class ReferenceConv2d(Conv2d):
         cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        y = cols @ wmat.T + self.b.data
+        y = _matmul(cols, wmat.T) + self.b.data
         self._cache = (cols, (n, h, w), (oh, ow))
         return np.ascontiguousarray(
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
@@ -52,10 +55,9 @@ class ReferenceConv2d(Conv2d):
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        np.matmul(dyc.T, cols,
-                  out=self.w.grad_buffer().reshape(self.out_channels, -1))
+        _matmul(dyc.T, cols, out=self.w.grad_buffer().reshape(self.out_channels, -1))
         np.sum(dyc, axis=0, out=self.b.grad_buffer())
-        dcols = (dyc @ wmat).reshape(n, oh, ow, self.in_channels, k, k)
+        dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         for i in range(k):
             for j in range(k):

@@ -321,6 +321,20 @@ def test_conv_is_bit_identical_to_im2col_reference(data, k, s, p):
     assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
 
 
+@pytest.mark.parametrize("cout", [1, 2, 3])
+def test_conv_matches_reference_where_dw_sums_k_panels(cout):
+    # a draw that once failed the property above: dW's inner dimension is
+    # 3 * 13 * 13 = 507 output positions, which _matmul sums in two panels
+    x = np.full((3, 1, 9, 9), 0.1)
+    layer, ref = _twin(Conv2d(1, cout, 1, 1, 2), ReferenceConv2d(1, cout, 1, 1, 2))
+    y = layer.forward(x)
+    assert y.tobytes() == ref.forward(x).tobytes()
+    dy = np.full(y.shape, 0.1)
+    assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+    assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
+    assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data(), k=st.integers(1, 3), s=st.integers(1, 2), p=st.integers(0, 1))
 def test_conv_without_input_grad_keeps_param_grads(data, k, s, p):

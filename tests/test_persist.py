@@ -117,6 +117,20 @@ class TestCheckpointFormat:
         with pytest.raises(ShapeError):
             load_checkpoint(p)
 
+    def test_refuses_a_zero_dim(self, tmp_path):
+        # rank 3, dims (0, 2**32 - 1, 2**32 - 1): the element count is 0, so
+        # only the zero itself shows that the dims cannot be a parameter's
+        dims = (0, (1 << 32) - 1, (1 << 32) - 1)
+        p = tmp_path / "x.ckpt"
+        p.write_bytes(b"MEMT" + struct.pack("<H", 1)
+                      + struct.pack("<I", 0)  # empty descriptor
+                      + struct.pack("<I", 1)  # one tensor
+                      + struct.pack("<B", 3)
+                      + struct.pack("<3I", *dims))
+        with pytest.raises(ShapeError, match=re.escape(
+                f"tensor 0 dims {dims} include a zero")):
+            load_checkpoint(p)
+
     def test_unicode_text_fields(self, tmp_path):
         ckpt = small_checkpoint()
         ckpt.provenance = "note=époque"

@@ -39,6 +39,45 @@ def fresh_net(d, arch=""):
     return net
 
 
+# Networks for the row slices of evaluate, with the slices of a 256-row batch:
+# an MLP runs one slice per batch; the conv workload's net runs 64 rows; a
+# budget of 32 rows is widened to 128 and to 96 rows where a 32-row slice
+# would put a Dense product of the batch under _GEMM_SMALL (the second also
+# joins its short last slice to the one before); the last runs 32 rows.
+_SLICED = {
+    "mlp": ("flatten dense:512 relu dense:512 relu", 28, [0, 256]),
+    "conv": ("conv:8,3,1,1 relu maxpool:2 flatten dense:128 relu", 28,
+             [0, 64, 128, 192, 256]),
+    "conv-head-widened": ("conv:8,5,1,2 relu maxpool:2 flatten", 20, [0, 128, 256]),
+    "conv-dense-widened": ("conv:3,5,1,2 relu maxpool:2 flatten dense:48 relu", 20,
+                           [0, 96, 256]),
+    "conv-32": ("conv:8,5,1,2 relu maxpool:2 flatten dense:64 relu", 20,
+                list(range(0, 257, 32))),
+}
+
+
+def _sliced_case(case, n):
+    arch, size, _ = _SLICED[case]
+    d = synth_images(n, 10, seed=n, size=size)
+    if arch.startswith("conv"):
+        d = Dataset(d.samples.reshape(n, 1, size, size), d.labels, 10)
+    net = build_network(arch, d.feature_shape, 10)
+    net.initialize(seed=n)
+    return net, d
+
+
+def _whole_batches(net, d):
+    """evaluate as one forward per 256-row batch, as it was before slicing."""
+    loss_sum, hits = 0.0, 0
+    for lo in range(0, d.n, 256):
+        yb = d.labels[lo:lo + 256]
+        logits = net.forward(d.rows(slice(lo, lo + 256)))
+        loss, _ = memlab.softmax_cross_entropy(logits, yb)
+        loss_sum += loss * yb.size
+        hits += int((memlab.predictions(logits) == yb).sum())
+    return loss_sum / d.n, hits / d.n
+
+
 class TestEvaluate:
     def test_untrained_net_sits_at_chance(self):
         # against iid random labels any fixed classifier is a coin flip
@@ -59,6 +98,54 @@ class TestEvaluate:
         net.initialize(seed=0)
         with pytest.raises(ShapeError):
             evaluate(net, d)
+
+    @pytest.mark.parametrize("n", [1, 44, 64, 257, 300, 800])
+    @pytest.mark.parametrize("case", _SLICED)
+    def test_slices_give_the_bits_of_whole_batches(self, case, n):
+        net, d = _sliced_case(case, n)
+        assert protocol._eval_slices(net, 256) == _SLICED[case][2]
+        got = evaluate(net, d)
+        assert [v.hex() for v in got] == [v.hex() for v in _whole_batches(net, d)]
+
+    def test_slices_give_the_bits_of_whole_batches_at_one_blas_thread(self, tmp_path):
+        src = str(Path(memlab.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             "--basetemp", str(tmp_path / "pytest"),
+             "-k", "slices_give and not one_blas_thread", __file__],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert f"{6 * len(_SLICED)} passed" in run.stdout, run.stdout + run.stderr
+
+    def test_sliced_conv_evaluate_peaks_near_a_slice(self):
+        # one forward of a whole 256-image batch peaks at about 40 MiB of
+        # im2col rows, products, outputs and masks; 64-row slices at about
+        # 12, under four times their 4 MiB budget
+        net, d = _sliced_case("conv", 256)
+        evaluate(net, d)
+        tracemalloc.start()
+        try:
+            evaluate(net, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_coded_slices_decode_into_a_scratch_of_the_widest_slice(self):
+        # 4096 values a sample make 128-row slices: the 256-row batch runs
+        # 128 + 128 rows, and the 148-row one a single slice, since a 20-row
+        # tail is joined to the slice before it
+        d = synth_images(256 + 148, 4, seed=2, size=64)
+        net = build_network("flatten dense:64 relu", (64, 64), 4)
+        net.initialize(seed=0)
+        assert protocol._eval_slices(net, 256) == [0, 128, 256]
+        assert protocol._eval_slices(net, 148) == [0, 148]
+        assert protocol._eval_scratch(net, d).shape == (148, 64, 64)
+        assert protocol._eval_scratch(net, Dataset(d.samples, d.labels, 4)) is None
+        got = evaluate(net, d)
+        assert [v.hex() for v in got] == [v.hex() for v in _whole_batches(net, d)]
 
 
 class TestTrain:

@@ -10,6 +10,13 @@ parameters and every layer below it).
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the
 input; output sizes use floor division.
+
+Conv-stack activations have the logical shape (N, C, H, W) but are stored
+channels-last: Conv2d returns a transposed view of its (N, H, W, C)
+product, ReLU and MaxPool2d keep their input's memory order in their
+outputs, caches and input gradients, and Flatten is the one gather into
+(C, H, W) order.  Every layer gives the same values for an input in any
+memory order.
 """
 
 from __future__ import annotations
@@ -60,6 +67,16 @@ def _k_bounds(k: int) -> list[int]:
     bounds = list(range(0, k - _GEMM_Q + 1, _GEMM_Q))
     lo = bounds[-1]
     return bounds + [lo + (k - lo + 1) // 2, k]
+
+
+def _axis_order(x: np.ndarray) -> tuple[int, ...]:
+    """x's axes from the outermost in memory to the innermost."""
+    return tuple(sorted(range(x.ndim), key=lambda d: -abs(x.strides[d])))
+
+
+def _zeros(shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
+    """Zeros of logical ``shape`` laid out in memory in axis ``order``."""
+    return np.zeros([shape[d] for d in order]).transpose(np.argsort(order))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -199,6 +216,13 @@ class ReLU(Layer):
 
 
 class Flatten(Layer):
+    """Rows of each sample's values in logical (C, H, W) order.
+
+    The one gather of the conv stack: a channels-last input is copied into
+    that order (a C-contiguous one is only reshaped), and backward puts
+    ``dy`` back in the input's memory order.
+    """
+
     def __init__(self):
         self._cache = None
 
@@ -206,12 +230,15 @@ class Flatten(Layer):
         return (int(np.prod(in_shape)),)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x.shape
+        self._cache = (x.shape, _axis_order(x))
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        shape = self._take_cache()
-        return dy.reshape(shape) if input_grad else None
+        shape, order = self._take_cache()
+        if not input_grad:
+            return None
+        dx = dy.reshape(shape).transpose(order)
+        return np.ascontiguousarray(dx).transpose(np.argsort(order))
 
 
 class Conv2d(Layer):
@@ -291,33 +318,42 @@ class Conv2d(Layer):
                     block[..., i, j] = src[:, i:i + s * oh:s, j:j + s * ow:s]
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        y4 = _matmul(cols, wmat.T).reshape(n, oh, ow, self.out_channels)
+        y = _matmul(cols, wmat.T)
         self._cache = (cols, (n, h, w), (oh, ow))
-        # the bias is added while making the NCHW copy: one pass, same sums
-        out = np.empty((n, self.out_channels, oh, ow))
-        np.add(y4.transpose(0, 3, 1, 2), self.b.data[:, None, None], out=out)
-        return out
+        # the bias goes on in place over rows of whole pixels, about 64
+        # values each: the same element pairs as a row per pixel, without
+        # a loop of out_channels per pixel
+        per_row = max(1, 64 // self.out_channels)
+        if y.shape[0] % per_row:
+            per_row = 1
+        rows = y.reshape(-1, per_row * self.out_channels)
+        rows += np.tile(self.b.data, per_row)
+        # the (N, H, W, C) product seen as (N, C, H, W): no copy
+        return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = self._take_cache()
         k, s, p = self.kernel, self.stride, self.padding
+        # a view of a channels-last dy, a copy of any other; of one image,
+        # column-major as the view of an (N, C, H, W) dy is, since the
+        # products and the bias sum below give other bits in the other order
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
+        if n == 1:
+            dyc = np.asfortranarray(dyc)
         _matmul(dyc.T, cols, out=self.w.grad_buffer().reshape(self.out_channels, -1))
         np.sum(dyc, axis=0, out=self.b.grad_buffer())
         if not input_grad:
             return None
         wmat = self.w.data.reshape(self.out_channels, -1)
         dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
-        dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
+        dxp = np.zeros((n, h + 2 * p, w + 2 * p, self.in_channels))
         # scatter each kernel offset back onto the (strided) input positions
         for i in range(k):
             for j in range(k):
-                dxp[:, :, i:i + s * oh:s, j:j + s * ow:s] += (
-                    dcols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-                )
+                dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[..., i, j]
         if p > 0:
-            return np.ascontiguousarray(dxp[:, :, p:p + h, p:p + w])
-        return dxp
+            dxp = np.ascontiguousarray(dxp[:, p:p + h, p:p + w])
+        return dxp.transpose(0, 3, 1, 2)
 
     def describe(self) -> str:
         return (f"Conv2d({self.in_channels}->{self.out_channels}, "
@@ -360,11 +396,12 @@ class MaxPool2d(Layer):
         # float64, so the maximum's bits can be selected as uint64 words
         x = np.asarray(x, dtype=np.float64)
         views = self._windows(*self._out_hw(*x.shape[2:]))
-        best = x[views[0]].copy()
+        # copies in x's memory order, so the output keeps it
+        best = x[views[0]].copy(order="K")
         bits = best.view(np.uint64)
-        arg = np.zeros(best.shape, dtype=np.min_scalar_type(len(views) - 1))
+        arg = np.zeros_like(best, dtype=np.min_scalar_type(len(views) - 1))
         for off, view in enumerate(views[1:], 1):
-            v = x[view].copy()  # two passes read it: cheaper contiguous
+            v = x[view].copy(order="K")  # two passes read it: cheaper contiguous
             # argmax's rule: the first strictly greater element, or the first
             # NaN; a NaN best stays, since best == best is then false
             take = np.logical_and(best == best, ~(v <= best))
@@ -375,18 +412,18 @@ class MaxPool2d(Layer):
             keep = np.subtract(0, take, dtype=np.uint64)
             keep &= np.bitwise_xor(bits, v.view(np.uint64), out=v.view(np.uint64))
             bits ^= keep
-        self._cache = (arg, x.shape)
+        self._cache = (arg, x.shape, _axis_order(x))
         return best
 
     def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        arg, shape = self._take_cache()
+        arg, shape, order = self._take_cache()
         if not input_grad:
             return None
         dy = np.asarray(dy, dtype=np.float64)
         nan = dy != dy
         clear = bool(nan.any())
         dy = dy.view(np.uint64)
-        dx = np.zeros(shape)
+        dx = _zeros(shape, order)
         # each offset adds dy where it won onto its strided view of dx;
         # walking the offsets backwards adds every cell's contributions in
         # window order, as np.add.at would, so overlapping windows (s < k)

@@ -101,16 +101,24 @@ class Network:
             f"expected {self.input_shape}"
         )
 
-    def forward(self, batch: np.ndarray) -> np.ndarray:
-        """Logits of shape (batch, num_classes); caches for backward."""
+    def forward(self, batch: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Logits of shape (batch, num_classes).
+
+        Each layer keeps what its backward needs.  With ``cache`` false (a
+        pure read of the net, as evaluate runs it) each layer drops that as
+        it returns, so no im2col rows outlive their Conv2d, and a backward
+        before the next forward raises RuntimeError.
+        """
         x = np.asarray(batch, dtype=np.float64)
         x = self._adapt_input(x)
-        for i, layer in enumerate(self.layers):
+        for i, layer in enumerate(self.all_layers):
             try:
                 x = layer.forward(x)
             except ValueError as e:
                 raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
-        return self.head.forward(x)
+            if not cache:
+                layer._cache = None
+        return x
 
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
         """Fill every parameter's grad; returns them in network order.

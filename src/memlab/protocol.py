@@ -191,9 +191,12 @@ def evaluate(net: Network, d: Dataset,
     """Full-dataset mean loss and argmax accuracy.  Pure read of the net.
 
     The loss and the hits are taken over batches of _EVAL_BATCH rows, whose
-    logits are filled slice by slice (_eval_slices).  Slices of an 8-bit
-    corpus are decoded into ``scratch``, from _eval_scratch(net, d), or
-    into a buffer made per call when it is None.
+    logits are filled slice by slice (_eval_slices).  Each slice runs a
+    forward that keeps no backward caches, so the net holds none of its
+    rows afterwards: a backward after evaluate raises RuntimeError until
+    the next training forward.  Slices of an 8-bit corpus are decoded into
+    ``scratch``, from _eval_scratch(net, d), or into a buffer made per call
+    when it is None.
     """
     if net.num_classes != d.num_classes:
         raise ShapeError(
@@ -209,7 +212,8 @@ def evaluate(net: Network, d: Dataset,
         out = logits[:yb.size]
         bounds = _eval_slices(net, yb.size)
         for a, b in zip(bounds, bounds[1:]):
-            out[a:b] = net.forward(d.rows(slice(lo + a, lo + b), out=scratch))
+            out[a:b] = net.forward(d.rows(slice(lo + a, lo + b), out=scratch),
+                                   cache=False)
         loss, _ = softmax_cross_entropy(out, yb)
         loss_sum += loss * yb.size
         hits += int((predictions(out) == yb).sum())

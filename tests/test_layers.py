@@ -1,5 +1,6 @@
 """Layer forward/backward against naive loop oracles."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -349,6 +350,59 @@ def test_conv_without_input_grad_keeps_param_grads(data, k, s, p):
     assert lean.backward(dy, input_grad=False) is None
     assert lean.w.grad.tobytes() == full.w.grad.tobytes()
     assert lean.b.grad.tobytes() == full.b.grad.tobytes()
+
+
+def _channels_last(x):
+    """x's values stored channels-last behind the same (N, C, H, W) shape."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _is_channels_last(x):
+    return x.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
+@st.composite
+def _layout_layers(draw):
+    """A conv-stack layer maker, an input shape and an element strategy."""
+    kind = draw(st.sampled_from(["conv", "relu", "maxpool", "maxpool:3,2", "flatten"]))
+    n, c = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if kind == "conv":
+        k, s, p = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+        make = functools.partial(Conv2d, c, draw(st.integers(1, 9)), k, s, p)
+        lo, values = max(1, k - 2 * p), st.floats(-1e6, 1e6)
+    elif kind.startswith("maxpool"):
+        k, s = (3, 2) if kind == "maxpool:3,2" else (draw(st.integers(1, 3)),) * 2
+        make, lo, values = functools.partial(MaxPool2d, k, s), k, _POOL_VALUES
+    else:
+        make, lo, values = (ReLU if kind == "relu" else Flatten), 1, _POOL_VALUES
+    side = st.integers(lo, lo + 6)
+    return make, (n, c, draw(side), draw(side)), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), case=_layout_layers())
+def test_layers_give_the_same_bits_for_channels_last_input(data, case):
+    make, shape, values = case
+    layer, twin = make(), make()
+    for a in (layer, twin):
+        a.init_params(Prng(41))
+    x = data.draw(hnp.arrays(np.float64, shape, elements=values))
+    with np.errstate(invalid="ignore"):
+        y, y_last = layer.forward(x), twin.forward(_channels_last(x))
+        assert y_last.tobytes() == y.tobytes()
+        dy = data.draw(hnp.arrays(np.float64, y.shape, elements=values))
+        # dy as the layer above hands it back: in the order of the output
+        dy_last = _channels_last(dy) if dy.ndim == 4 else dy
+        dx, dx_last = layer.backward(dy), twin.backward(dy_last)
+    assert dx_last.tobytes() == dx.tobytes()
+    for p, q in zip(layer.params(), twin.params()):
+        assert q.grad.tobytes() == p.grad.tobytes()
+    # memory order: Conv2d writes channels-last, ReLU and MaxPool2d keep
+    # their input's, and Flatten puts dy back in its input's
+    for arrays, last in (((y, dx), isinstance(layer, Conv2d)), ((y_last, dx_last), True)):
+        for a in arrays:
+            if a.ndim == 4:
+                assert _is_channels_last(a) if last else a.flags.c_contiguous
 
 
 @pytest.mark.parametrize("make,x_shape", [

@@ -673,3 +673,46 @@ class TestPhaseConfig:
         assert cfg.epochs == 3
         assert cfg.initial_lr == spec.train.initial_lr
         assert cfg.seed == spec.train.seed
+
+
+# ---------------------------------------------------------------- fuzz
+
+@st.composite
+def _mutants(draw, raw: bytes):
+    """raw cut short, or raw with one to three bits flipped."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    out = bytearray(raw)
+    for bit in draw(st.lists(st.integers(0, 8 * len(raw) - 1), min_size=1, max_size=3)):
+        out[bit // 8] ^= 1 << (bit % 8)
+    return bytes(out)
+
+
+def _conv_checkpoint():
+    net = build_network("conv:3,3,1,1 relu maxpool:2 flatten dense:4 relu",
+                        (1, 6, 6), 2)
+    net.initialize(3)
+    return Checkpoint(net.descriptor, net.state_tensors(), "labeling=random(seed=9)")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), make=st.sampled_from([small_checkpoint, _conv_checkpoint]))
+def test_mutated_checkpoint_loads_or_raises_a_memlab_error(tmp_path_factory, data, make):
+    p = tmp_path_factory.getbasetemp() / "fuzz.ckpt"
+    save_checkpoint(make(), p)
+    p.write_bytes(data.draw(_mutants(p.read_bytes())))
+    try:
+        load_checkpoint(p)
+    except MemlabError:
+        pass
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), spec=_RUN_SPECS)
+def test_mutated_config_parses_or_raises_a_memlab_error(tmp_path_factory, data, spec):
+    p = tmp_path_factory.getbasetemp() / "fuzz.cfg"
+    p.write_bytes(data.draw(_mutants(render_config(spec).encode("utf-8"))))
+    try:
+        parse_config(p)
+    except MemlabError:
+        pass

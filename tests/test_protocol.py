@@ -133,6 +133,34 @@ class TestEvaluate:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_conv_evaluate_keeps_no_backward_caches(self):
+        # a slice's im2col rows are dropped as its Conv2d returns, so a
+        # 64-row slice peaks at its rows plus their product, about 7 MiB
+        net, d = _sliced_case("conv", 256)
+        evaluate(net, d)
+        assert all(layer._cache is None for layer in net.all_layers)
+        tracemalloc.start()
+        try:
+            evaluate(net, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("n", [288, 300])
+    def test_backward_after_evaluate_needs_a_new_forward(self, n):
+        # evaluate's last batch has 32 rows at n = 288, the rows of the
+        # training batch, and 44 at n = 300: neither may stand in for it
+        d = synth_images(n, 10, seed=4, size=8)
+        net = build_network("flatten dense:16 relu", d.feature_shape, 10)
+        net.initialize(seed=4)
+        rows = np.arange(32)
+        _, dlogits = memlab.softmax_cross_entropy(net.forward(d.rows(rows)),
+                                                  d.labels[rows])
+        evaluate(net, d)
+        with pytest.raises(RuntimeError, match="backward called without forward"):
+            net.backward(dlogits)
+
     def test_coded_slices_decode_into_a_scratch_of_the_widest_slice(self):
         # 4096 values a sample make 128-row slices: the 256-row batch runs
         # 128 + 128 rows, and the 148-row one a single slice, since a 20-row

@@ -82,51 +82,57 @@ def _override(spec: RunSpec, flag: str, **changes) -> RunSpec:
         raise UsageError(f"{flag}: {e}") from None
 
 
+def _run_spec(args, phase: str | None = None) -> RunSpec:
+    """The command's parsed config, refused before any corpus is built or
+    file written when the epochs it runs (of ``phase``, when given) are 0.
+    A phase key of 0 falls back to epochs, so epochs is the key to blame."""
+    spec = parse_config(args.config)
+    if (resolved_epochs(spec, phase) if phase else spec.train.epochs) == 0:
+        raise ConfigError(f"epochs must be >= 1 for {args.command}, got 0")
+    return spec
+
+
 def _split_target(spec: RunSpec):
     target = (spec.target or spec.data).build()
     return split(target, SplitSpec(spec.train_fraction, spec.train.seed))
 
 
-def _cmd_pretrain(args) -> int:
-    spec = parse_config(args.config)
-    d = spec.data.build()
-    ckpt, log = protocol.pretrain_random(d, spec.arch, spec.train, spec.label_seed)
+def _finish(args, spec: RunSpec, split_name: str, ckpt, log) -> int:
+    """Write a training run's artifacts and print its final accuracy."""
     _emit(args.out, spec, log, ckpt)
-    final = log.final("train")
-    print(f"pretrain: {final.epoch} epochs, final train accuracy "
+    final = log.final(split_name)
+    print(f"{args.command}: {final.epoch} epochs, final {split_name} accuracy "
           f"{format_real(final.accuracy)}")
     return 0
+
+
+def _cmd_pretrain(args) -> int:
+    spec = _run_spec(args)
+    d = spec.data.build()
+    return _finish(args, spec, "train",
+                   *protocol.pretrain_random(d, spec.arch, spec.train, spec.label_seed))
 
 
 def _cmd_baseline(args) -> int:
-    spec = parse_config(args.config)
+    spec = _run_spec(args)
     tr, va = _split_target(spec)
-    ckpt, log = protocol.baseline(tr, spec.arch, spec.train, va)
-    _emit(args.out, spec, log, ckpt)
-    final = log.final("val")
-    print(f"baseline: {final.epoch} epochs, final val accuracy "
-          f"{format_real(final.accuracy)}")
-    return 0
+    return _finish(args, spec, "val", *protocol.baseline(tr, spec.arch, spec.train, va))
 
 
 def _cmd_finetune(args) -> int:
-    spec = parse_config(args.config)
+    spec = _run_spec(args)
     ckpt_path = args.checkpoint or spec.checkpoint
     if not ckpt_path:
         raise UsageError("finetune needs --checkpoint (or a checkpoint config key)")
     spec = replace(spec, checkpoint=ckpt_path)
     pretrained = load_checkpoint(ckpt_path)
     tr, va = _split_target(spec)
-    ckpt, log = protocol.finetune(pretrained, tr, spec.train, val_d=va)
-    _emit(args.out, spec, log, ckpt)
-    final = log.final("val")
-    print(f"finetune: {final.epoch} epochs, final val accuracy "
-          f"{format_real(final.accuracy)}")
-    return 0
+    return _finish(args, spec, "val",
+                   *protocol.finetune(pretrained, tr, spec.train, val_d=va))
 
 
 def _cmd_reshuffle(args) -> int:
-    spec = parse_config(args.config)
+    spec = _run_spec(args, "round")
     if args.rounds is not None:
         spec = _override(spec, "--rounds", rounds=args.rounds)
     d = spec.data.build()
@@ -143,7 +149,8 @@ def _cmd_reshuffle(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    spec = parse_config(args.config)
+    # the pretrain phase may run 0 epochs: that is the compare anchor
+    spec = _run_spec(args, "ft")
     if args.seeds:
         try:
             seeds = [int(s) for s in args.seeds.split(",") if s.strip()]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, require
 from ..prng import Prng
 from .tensor import Tensor, he_init
 
@@ -49,13 +49,6 @@ _GEMM_ALIGN = 32
 # than one row, and both lie on the same side of this bound;
 # tests/test_protocol.py holds evaluate's row slices to that.
 _GEMM_SMALL = 100 ** 3
-
-
-def _positive(name: str, value: int) -> int:
-    value = int(value)
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-    return value
 
 
 def _k_bounds(k: int) -> list[int]:
@@ -99,6 +92,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 class Layer:
     """Common layer interface; stateless layers only override the math."""
 
+    _cache = None  # what forward keeps for backward, until backward takes it
+
     def params(self) -> list[Tensor]:
         return []
 
@@ -126,7 +121,7 @@ class Layer:
         raise NotImplementedError
 
     def _take_cache(self):
-        cache = getattr(self, "_cache", None)
+        cache = self._cache
         if cache is None:
             raise RuntimeError(f"{self.describe()}: backward called without forward")
         self._cache = None
@@ -145,11 +140,10 @@ class Layer:
 
 class Dense(Layer):
     def __init__(self, in_features: int, out_features: int):
-        self.in_features = _positive("in_features", in_features)
-        self.out_features = _positive("out_features", out_features)
+        self.in_features, self.out_features = int(in_features), int(out_features)
+        require(self, lambda v: v > 0, "positive", "in_features", "out_features")
         self.w = Tensor._own(np.zeros((self.in_features, self.out_features)))
         self.b = Tensor._own(np.zeros(self.out_features))
-        self._cache = None
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -190,9 +184,6 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._cache = None
-
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return in_shape
 
@@ -223,9 +214,6 @@ class Flatten(Layer):
     ``dy`` back in the input's memory order.
     """
 
-    def __init__(self):
-        self._cache = None
-
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (int(np.prod(in_shape)),)
 
@@ -244,17 +232,14 @@ class Flatten(Layer):
 class Conv2d(Layer):
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0):
-        self.in_channels = _positive("in_channels", in_channels)
-        self.out_channels = _positive("out_channels", out_channels)
-        self.kernel = _positive("kernel", kernel)
-        self.stride = _positive("stride", stride)
-        self.padding = int(padding)
-        if self.padding < 0:
-            raise ValueError(f"padding must be non-negative, got {padding}")
+        self.in_channels, self.out_channels = int(in_channels), int(out_channels)
+        self.kernel, self.stride, self.padding = int(kernel), int(stride), int(padding)
+        require(self, lambda v: v > 0, "positive",
+                "in_channels", "out_channels", "kernel", "stride")
+        require(self, lambda v: v >= 0, "non-negative", "padding")
         shape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         self.w = Tensor._own(np.zeros(shape))
         self.b = Tensor._own(np.zeros(self.out_channels))
-        self._cache = None
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
@@ -365,9 +350,9 @@ class Conv2d(Layer):
 
 class MaxPool2d(Layer):
     def __init__(self, kernel: int, stride: int | None = None):
-        self.kernel = _positive("kernel", kernel)
-        self.stride = self.kernel if stride is None else _positive("stride", stride)
-        self._cache = None
+        self.kernel = int(kernel)
+        self.stride = self.kernel if stride is None else int(stride)
+        require(self, lambda v: v > 0, "positive", "kernel", "stride")
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s = self.kernel, self.stride

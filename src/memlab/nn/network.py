@@ -145,28 +145,29 @@ class Network:
         """Copies of all parameter arrays in network order."""
         return [p.data.copy() for p in self.parameters()]
 
+    def check_state(self, tensors: list[np.ndarray], skip_head: bool = False) -> list[Tensor]:
+        """The parameters ``tensors`` load into, in network order (all but
+        the head's with ``skip_head``); ShapeError unless there is a tensor
+        per parameter and each loaded one has its parameter's shape."""
+        params = self.parameters()
+        if len(tensors) != len(params):
+            raise ShapeError(f"{len(tensors)} tensors, the descriptor needs {len(params)}")
+        if skip_head:
+            params = params[:-len(self.head.params())]
+        for i, (t, p) in enumerate(zip(tensors, params)):
+            if np.shape(t) != p.shape:
+                raise ShapeError(f"tensor {i} shape {np.shape(t)}, "
+                                 f"the descriptor needs {p.shape}")
+        return params
+
     def load_state(self, tensors: list[np.ndarray], skip_head: bool = False) -> None:
-        """Assign parameter arrays in network order.
+        """Assign copies of ``tensors``, once check_state has passed them all.
 
         With ``skip_head`` the trailing head parameters are left as they
         are (used when transferring a feature extractor onto a new task).
         """
-        params = self.parameters()
-        n_head = len(self.head.params())
-        targets = params[:-n_head] if skip_head else params
-        expect = len(params)
-        if len(tensors) != expect:
-            raise ShapeError(
-                f"checkpoint has {len(tensors)} tensors, network needs {expect}"
-            )
-        for i, p in enumerate(targets):
-            t = np.asarray(tensors[i], dtype=np.float64)
-            if t.shape != p.data.shape:
-                raise ShapeError(
-                    f"parameter {i}: checkpoint shape {t.shape} != "
-                    f"network shape {p.data.shape}"
-                )
-            p.data = t.copy()
+        for p, t in zip(self.check_state(tensors, skip_head), tensors):
+            p.data = np.asarray(t, dtype=np.float64).copy()
 
 
 def _parse_int_args(token: str, spec: str, minimum: int, maximum: int) -> list[int]:

@@ -63,13 +63,11 @@ class SgdMomentum:
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.params = params
         self.lr = float(lr)
         self.momentum = float(momentum)
+        require(self, lambda v: v > 0, "positive", "lr")
+        require(self, lambda v: 0.0 <= v < 1.0, "in [0, 1)", "momentum")
         self.velocity = [np.zeros(p.data.shape) for p in params]
         largest = max((p.size for p in params), default=0)
         self._scratch = np.empty(min(_CHUNK, largest))
@@ -105,15 +103,13 @@ class PlateauScheduler:
 
     def __init__(self, lr: float, patience: int, decay_factor: float,
                  min_lr: float, mode: str):
-        if mode not in ("minimize", "maximize"):
-            raise ValueError(f"mode must be minimize or maximize, got {mode!r}")
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
         self.patience = int(patience)
         self.decay_factor = float(decay_factor)
         self.min_lr = float(min_lr)
         self.mode = mode
+        require(self, ("minimize", "maximize").__contains__, "minimize or maximize", "mode")
+        require(self, lambda v: v > 0, "positive", "lr")
         self.best_metric: float | None = None
         self.epochs_since_improvement = 0
 

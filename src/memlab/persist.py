@@ -104,14 +104,11 @@ def load_checkpoint(path) -> Checkpoint:
     provenance = r.text("provenance")
     r.end("provenance")
     try:  # a network too large to allocate is a bad descriptor too
-        params = network_from_descriptor(descriptor).parameters()
+        net = network_from_descriptor(descriptor)
     except (MemlabError, ValueError, MemoryError) as e:
         raise MemlabError(f"descriptor: {e}") from None
-    if len(tensors) != len(params):
-        raise ShapeError(f"{len(tensors)} tensors, the descriptor needs {len(params)}")
-    for i, (t, p) in enumerate(zip(tensors, params)):
-        if t.shape != p.shape:
-            raise ShapeError(f"tensor {i} shape {t.shape}, the descriptor needs {p.shape}")
+    net.check_state(tensors)
+    for i, t in enumerate(tensors):
         if not np.isfinite(t).all():
             raise NonFiniteError(f"tensor {i} contains NaN or Inf")
     return Checkpoint(descriptor, tensors, provenance)
@@ -146,7 +143,7 @@ def write_metrics_csv(log: MetricsLog, path) -> None:
 
 
 def read_metrics_csv(path) -> MetricsLog:
-    """Inverse of write_metrics_csv; revalidates every record on append.
+    """Inverse of write_metrics_csv; every record is validated again.
 
     Labeling provenance is not part of the CSV, so logs read back carry
     records only.

@@ -155,19 +155,6 @@ class Prng:
         self.state = (self.state + 2 * ((n + 1) // 2) * _GOLDEN) & _MASK64
         return out
 
-    def gaussian_range(self, total: int, lo: int, hi: int) -> np.ndarray:
-        """Elements [lo, hi) of what ``fill_gaussian(total)`` would return.
-
-        The stream is counter-based, so the range is drawn without its
-        prefix: it is the same bits, and the state does not move.
-        """
-        if not 0 <= lo <= hi <= total:
-            raise ValueError(f"range [{lo}, {hi}) is not within the "
-                             f"{total} draws of the stream")
-        out = np.empty(hi - lo)
-        _gaussian_writers(hi - lo)[0](self.state, total, lo, hi, out)
-        return out
-
     def permutation(self, n: int) -> np.ndarray:
         """Uniform permutation of range(n) via argsort of random 64-bit keys.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import (Dataset, SplitSpec, _usable_cores, assign_random_labels,
                    reshuffle_labels, split)
-from .errors import ConfigError, ShapeError, TrainingDivergedError
+from .errors import ConfigError, ShapeError, TrainingDivergedError, require
 from .nn import (
     Network,
     PlateauScheduler,
@@ -55,15 +55,23 @@ class EpochRecord:
     accuracy: float
     lr: float
 
+    def __post_init__(self):
+        require(self, SPLITS.__contains__, "train or val", "split")
+        require(self, lambda v: v >= 1, ">= 1", "round")
+        require(self, lambda v: 0 <= v < np.inf, "finite and >= 0", "loss")
+        require(self, lambda v: 0.0 <= v <= 1.0, "in [0, 1]", "accuracy")
+        require(self, lambda v: 0 < v < np.inf, "finite and positive", "lr")
+
 
 class MetricsLog:
     """Ordered per-epoch records with run provenance on the side.
 
-    Records are append-only and validated: within each (round, split) the
-    epochs must arrive contiguously starting at 1.  Alongside the rows the
-    log keeps the labeling description and the start-of-round accuracy per
-    round, and a fingerprint of the exact sample order the training loop
-    consumed (used to certify that paired runs saw identical data).
+    Records are append-only: within each (round, split) the epochs must
+    arrive contiguously starting at 1 (each EpochRecord checks its other
+    fields when it is built).  Alongside the rows the log keeps the
+    labeling description and the start-of-round accuracy per round, and a
+    fingerprint of the exact sample order the training loop consumed (used
+    to certify that paired runs saw identical data).
     """
 
     def __init__(self, config_fingerprint: str = ""):
@@ -75,16 +83,6 @@ class MetricsLog:
         self._order_hash = hashlib.blake2b(digest_size=8)
 
     def append(self, rec: EpochRecord) -> None:
-        if rec.split not in SPLITS:
-            raise ValueError(f"split must be train or val, got {rec.split!r}")
-        if rec.round < 1:
-            raise ValueError(f"round must be >= 1, got {rec.round}")
-        if not np.isfinite(rec.loss) or rec.loss < 0:
-            raise ValueError(f"loss must be finite and >= 0, got {rec.loss}")
-        if not 0.0 <= rec.accuracy <= 1.0:
-            raise ValueError(f"accuracy must be in [0, 1], got {rec.accuracy}")
-        if not np.isfinite(rec.lr) or rec.lr <= 0:
-            raise ValueError(f"lr must be finite and positive, got {rec.lr}")
         key = (rec.round, rec.split)
         want = self._next_epoch.get(key, 1)
         if rec.epoch != want:
@@ -154,6 +152,11 @@ def _checkpoint_of(net: Network, d: Dataset, cfg: TrainConfig,
     return Checkpoint(net.descriptor, net.state_tensors(), provenance)
 
 
+def _check_head(net: Network, d: Dataset) -> None:
+    if net.num_classes != d.num_classes:
+        raise ShapeError(f"head width {net.num_classes} != dataset classes {d.num_classes}")
+
+
 def _eval_slices(net: Network, m: int) -> list[int]:
     """Bounds of the row slices evaluate runs a batch of m rows through.
 
@@ -198,10 +201,7 @@ def evaluate(net: Network, d: Dataset,
     ``scratch``, from _eval_scratch(net, d), or into a buffer made per call
     when it is None.
     """
-    if net.num_classes != d.num_classes:
-        raise ShapeError(
-            f"head width {net.num_classes} != dataset classes {d.num_classes}"
-        )
+    _check_head(net, d)
     if scratch is None:
         scratch = _eval_scratch(net, d)
     logits = np.empty((min(d.n, _EVAL_BATCH), net.num_classes))
@@ -229,10 +229,7 @@ def shuffle_seed(seed: int, round: int, epoch: int) -> int:
 def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
                cfg: TrainConfig, log: MetricsLog, round: int) -> None:
     """Run cfg.epochs epochs of minibatch SGD, appending records for ``round``."""
-    if net.num_classes != train_d.num_classes:
-        raise ShapeError(
-            f"head width {net.num_classes} != dataset classes {train_d.num_classes}"
-        )
+    _check_head(net, train_d)
     if cfg.monitor != "train_loss" and val_d is None:
         raise ConfigError(f"monitor {cfg.monitor!r} requires a validation set")
     log.round_labelings[round] = train_d.labeling.describe()

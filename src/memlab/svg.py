@@ -42,7 +42,7 @@ def render_svg(log: MetricsLog) -> bytes:
     x0, x1 = _ML, _W - _MR
     y0, y1 = _H - _MB, _MT  # y grows downward in SVG
 
-    def x_of(r: int, epoch: int) -> float:
+    def x_of(r: int, epoch: float) -> float:
         g = offset[r] + epoch
         if total == 1:
             return (x0 + x1) / 2
@@ -81,8 +81,7 @@ def render_svg(log: MetricsLog) -> bytes:
 
     # round boundaries: a vertical marker between consecutive rounds
     for r in rounds[:-1]:
-        g = offset[r] + span[r] + 0.5
-        x = _fmt(x0 + (g - 1) * (x1 - x0) / (total - 1)) if total > 1 else _fmt((x0 + x1) / 2)
+        x = _fmt(x_of(r, span[r] + 0.5))
         out.append(
             f'<line class="round-boundary" x1="{x}" y1="{y1}" x2="{x}" '
             f'y2="{y0}" stroke="#999999" stroke-width="1" '

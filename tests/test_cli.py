@@ -188,6 +188,36 @@ def test_compare_needs_target(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+ZERO_EPOCHS_CFG = BLOBS_CFG.replace("epochs = 2\n", "epochs = 0\n")
+
+
+# each command's phase key is unset, so its budget falls back to epochs = 0
+@pytest.mark.parametrize("command, extra", [
+    ("pretrain", ""),
+    ("baseline", ""),
+    ("finetune", "checkpoint = pre.ckpt\n"),
+    ("reshuffle", "rounds = 2\n"),
+    ("compare", COMPARE_EXTRA.replace("ft_epochs = 1\n", "")),
+], ids=["pretrain", "baseline", "finetune", "reshuffle", "compare"])
+def test_zero_epoch_run_fails_before_writing_anything(tmp_path, capsys, command, extra):
+    cfg = write_cfg(tmp_path, ZERO_EPOCHS_CFG + extra)
+    out = tmp_path / "out"
+    assert dispatch([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: epochs must be >= 1 for {command}, got 0\n"
+    assert not out.exists()
+
+
+def test_compare_may_pretrain_for_zero_epochs(tmp_path, capsys):
+    # pre_epochs falls back to epochs = 0: each pair's arms start alike
+    cfg = write_cfg(tmp_path, ZERO_EPOCHS_CFG
+                    + COMPARE_EXTRA.replace("pre_epochs = 1\n", ""))
+    out = tmp_path / "cmp"
+    assert dispatch(["compare", "--config", cfg, "--out", str(out)]) == 0
+    rows = (out / "report.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(r.endswith(",0.00000000") for r in rows)
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOBS_CFG + "patiense = 10\n")
     assert dispatch(["pretrain", "--config", cfg,

@@ -202,6 +202,22 @@ def test_load_state_validates():
         net.load_state(bad)
 
 
+@pytest.mark.parametrize("skip_head", [False, True])
+def test_load_state_with_a_bad_tensor_changes_nothing(skip_head):
+    # tensor 2 (the second Dense's weights) is checked before 0 and 1 load
+    net = build_network("flatten dense:6 relu dense:5 relu", (4,), 3)
+    net.initialize(seed=1)
+    before = [p.data.tobytes() for p in net.parameters()]
+    other = build_network("flatten dense:6 relu dense:5 relu", (4,), 3)
+    other.initialize(seed=2)
+    bad = other.state_tensors()
+    bad[2] = np.zeros((5, 6))
+    with pytest.raises(ShapeError, match=r"^tensor 2 shape \(5, 6\), "
+                                         r"the descriptor needs \(6, 5\)$"):
+        net.load_state(bad, skip_head=skip_head)
+    assert [p.data.tobytes() for p in net.parameters()] == before
+
+
 def test_state_tensors_are_copies():
     net = build_network("flatten dense:4", (3,), 2)
     net.initialize(seed=2)

@@ -114,6 +114,13 @@ def test_optimizer_rejects_bad_hyperparams():
         SgdMomentum([param(0.0)], lr=0.1, momentum=1.0)
 
 
+def test_optimizer_and_scheduler_refuse_a_nan_lr():
+    with pytest.raises(ValueError, match="^lr must be positive, got nan$"):
+        SgdMomentum([param(0.0)], lr=float("nan"), momentum=0.0)
+    with pytest.raises(ValueError, match="^lr must be positive, got nan$"):
+        PlateauScheduler(float("nan"), 10, 0.1, 1e-5, "minimize")
+
+
 # ---------------------------------------------------------------- scheduler
 
 def constant_metric_trace(steps, patience=10, decay=0.1, lr0=0.1):

@@ -716,3 +716,24 @@ def test_mutated_config_parses_or_raises_a_memlab_error(tmp_path_factory, data, 
         parse_config(p)
     except MemlabError:
         pass
+
+
+def _metrics_log():
+    log = MetricsLog()
+    for r in (1, 2):
+        for e in (1, 2):
+            log.append(EpochRecord(r, e, "train", 2.302585093 / e, e / 4, 0.1 / r))
+            log.append(EpochRecord(r, e, "val", 2.4 / e, e / 5, 0.1 / r))
+    return log
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_mutated_metrics_csv_loads_or_raises_a_memlab_error(tmp_path_factory, data):
+    p = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    write_metrics_csv(_metrics_log(), p)
+    p.write_bytes(data.draw(_mutants(p.read_bytes())))
+    try:
+        read_metrics_csv(p)
+    except MemlabError:
+        pass

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oracles import reference_fill_gaussian
 
 from memlab import Prng, derive_seed, splitmix64
-from memlab.prng import _GAUSSIAN_BLOCK_BYTES
+from memlab.prng import _GAUSSIAN_BLOCK_BYTES, _gaussian_writers
 
 BLOCK = _GAUSSIAN_BLOCK_BYTES // 8  # draws per fill_gaussian block
 
@@ -109,27 +109,15 @@ def test_fill_gaussian_matches_one_shot_oracle(seed, n):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1), total=st.integers(1, 5000), data=st.data())
 def test_gaussian_range_is_a_slice_of_the_full_draw(seed, total, data):
+    # a _gaussian_writers writer, as corpus builds draw their blocks, made
+    # for at least the range it writes
     lo = data.draw(st.integers(0, total - 1))
     hi = data.draw(st.integers(lo + 1, total))
-    rng = Prng(seed)
-    part = rng.gaussian_range(total, lo, hi)
-    assert rng.state == Prng(seed).state
+    draw, = _gaussian_writers(data.draw(st.integers(hi - lo, total)))
+    part = np.empty(hi - lo)
+    draw(Prng(seed).state, total, lo, hi, part)
     full = reference_fill_gaussian(Prng(seed), total)
     assert part.tobytes() == full[lo:hi].tobytes()
-
-
-@pytest.mark.parametrize("lo, hi", [(0, 12), (-2, 4), (6, 4)],
-                         ids=["past the end", "before the start", "reversed"])
-def test_gaussian_range_outside_the_stream(lo, hi):
-    rng = Prng(3)
-    with pytest.raises(ValueError, match=r"not within the 10 draws"):
-        rng.gaussian_range(10, lo, hi)
-    assert rng.state == 3
-
-
-def test_gaussian_range_may_be_empty():
-    assert Prng(3).gaussian_range(10, 10, 10).shape == (0,)
-    assert Prng(3).gaussian_range(10, 5, 5).shape == (0,)
 
 
 def test_permutation_is_permutation():

@@ -283,6 +283,20 @@ class TestMetricsLog:
         with pytest.raises(ValueError):
             log.append(EpochRecord(1, 2, "train", float("nan"), 0.5, 0.1))
 
+    @pytest.mark.parametrize("fields, message", [
+        ((1, 1, "test", 1.0, 0.5, 0.1), "split must be train or val, got 'test'"),
+        ((0, 1, "train", 1.0, 0.5, 0.1), "round must be >= 1, got 0"),
+        ((1, 1, "train", -1.0, 0.5, 0.1), "loss must be finite and >= 0, got -1.0"),
+        ((1, 1, "train", float("inf"), 0.5, 0.1), "loss must be finite and >= 0"),
+        ((1, 1, "train", 1.0, 1.5, 0.1), "accuracy must be in [0, 1], got 1.5"),
+        ((1, 1, "train", 1.0, 0.5, 0.0), "lr must be finite and positive, got 0.0"),
+        ((1, 1, "train", 1.0, 0.5, float("nan")), "lr must be finite and positive"),
+    ])
+    def test_record_is_refused_when_built(self, fields, message):
+        with pytest.raises(ValueError) as e:
+            EpochRecord(*fields)
+        assert str(e.value).startswith(message)
+
     def test_splits_count_epochs_separately(self):
         log = MetricsLog()
         log.append(EpochRecord(1, 1, "train", 1.0, 0.5, 0.1))

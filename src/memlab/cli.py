@@ -74,10 +74,11 @@ def _emit(out_dir: str, spec: RunSpec, log=None, ckpt=None) -> None:
         save_checkpoint(ckpt, os.path.join(out_dir, "final.ckpt"))
 
 
-def _override(spec: RunSpec, flag: str, **changes) -> RunSpec:
-    """Apply a command line override; RunSpec's range checks apply to it."""
+def _flag_check(flag: str, check, *args, **kwargs):
+    """check(*args, **kwargs) on a command line value, its range check's
+    ValueError reported as a usage error naming ``flag``."""
     try:
-        return replace(spec, **changes)
+        return check(*args, **kwargs)
     except ValueError as e:
         raise UsageError(f"{flag}: {e}") from None
 
@@ -132,9 +133,10 @@ def _cmd_finetune(args) -> int:
 
 
 def _cmd_reshuffle(args) -> int:
+    _flag_check("--threshold", protocol.check_threshold, args.threshold)
     spec = _run_spec(args, "round")
     if args.rounds is not None:
-        spec = _override(spec, "--rounds", rounds=args.rounds)
+        spec = _flag_check("--rounds", replace, spec, rounds=args.rounds)
     d = spec.data.build()
     ckpt, log = protocol.reshuffle_experiment(
         d, spec.arch, spec.train, spec.rounds, resolved_epochs(spec, "round"),
@@ -157,7 +159,7 @@ def _cmd_compare(args) -> int:
         except ValueError:
             raise UsageError(f"--seeds must be a comma list of integers, "
                              f"got {args.seeds!r}") from None
-        spec = _override(spec, "--seeds", seeds=seeds)
+        spec = _flag_check("--seeds", replace, spec, seeds=seeds)
     if spec.target is None:
         raise ConfigError("compare needs target.* dataset keys")
     source = spec.data.build()
@@ -218,7 +220,7 @@ def dispatch(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         print(f"usage error: {e}", file=sys.stderr)
         return 1
-    except (MemlabError, OSError, ValueError) as e:
+    except (MemlabError, OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -90,8 +90,7 @@ class Dataset:
             raise ValueError(
                 f"{n} samples but {self.labels.shape[0] if self.labels.ndim == 1 else '?'} labels"
             )
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be positive")
+        require(self, lambda v: v > 0, "positive", "num_classes")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes})"
@@ -305,23 +304,13 @@ def _fill_blocks(n: int, width: int, fill, planes: int = 1) -> None:
         raise errors[0]
 
 
-def _finite(**values: float) -> None:
-    """Refuse an infinite or NaN generator argument, naming it."""
-    for name, v in values.items():
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-
-
 def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
                 seed: int) -> Dataset:
     """Gaussian blobs around seeded class centers; labels are the true class."""
-    _finite(spread=spread)
-    if spread <= 0:
-        raise ValueError(f"spread must be positive, got {spread}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
+    require(locals(), math.isfinite, "finite", "spread")
+    require(locals(), lambda v: v > 0, "positive", "spread")
+    require(locals(), lambda v: v >= 1, ">= 1", "dim")
+    require(locals(), lambda v: v > 0, "positive", "num_classes")
     if n < num_classes:
         raise ValueError(f"need n >= num_classes, got n={n}, classes={num_classes}")
     rng = Prng(seed)
@@ -357,15 +346,10 @@ def synth_images(n: int, num_classes: int, seed: int, size: int = 28,
     hard for a fresh network and rewards pre-learned bump detectors.
     The corpus is stored as its 8-bit codes (see Dataset).
     """
-    if num_classes < 1:
-        raise ValueError("num_classes must be positive")
-    if n < 1:
-        raise ValueError("n must be positive")
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
-    if bumps < 0:
-        raise ValueError("bumps must be >= 0")
-    _finite(jitter=jitter, noise=noise, clutter=clutter)
+    require(locals(), lambda v: v > 0, "positive", "num_classes", "n")
+    require(locals(), lambda v: v >= 1, ">= 1", "size")
+    require(locals(), lambda v: v >= 0, ">= 0", "bumps")
+    require(locals(), math.isfinite, "finite", "jitter", "noise", "clutter")
     rng = Prng(seed)
     labels = rng.fill_below(n, num_classes)
 
@@ -434,8 +418,7 @@ def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
     successive rounds are statistically independent and none coincides
     with assign_random_labels(d, base_seed).
     """
-    if round < 1:
-        raise ValueError(f"round must be >= 1, got {round}")
+    require(locals(), lambda v: v >= 1, ">= 1", "round")
     derived = splitmix64((int(base_seed) ^ int(round)) & ((1 << 64) - 1))
     relabeled = assign_random_labels(d, derived)
     return Dataset._stored(relabeled._data, relabeled.labels, relabeled.num_classes,

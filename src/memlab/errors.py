@@ -1,5 +1,5 @@
-"""Exception types raised across the library, and the range check that
-every config dataclass validates its fields with.
+"""Exception types raised across the library, and require: the one range
+check of every config field, layer setting and entry point argument.
 
 Everything user-facing derives from MemlabError so callers (and the CLI)
 can distinguish expected failures from bugs.
@@ -56,9 +56,10 @@ class UsageError(MemlabError):
 
 
 def require(obj, ok, rule: str, *names: str) -> None:
-    """Range check whose message starts with the field name, for blame."""
+    """Range check whose message starts with the name, for blame: ``names``
+    are attributes of ``obj``, or keys of a dict such as a function's locals()."""
     for name in names:
-        value = getattr(obj, name)
+        value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not ok(value):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
 

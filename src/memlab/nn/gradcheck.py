@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import require
 from ..prng import Prng
 from .loss import softmax_cross_entropy
 from .network import Network
@@ -21,10 +22,7 @@ def grad_check(net: Network, batch: np.ndarray, labels: np.ndarray,
     the backward pass via |analytic - numeric| / max(|a|, |n|, 1e-8).
     All arithmetic is float64, which this check relies on.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if max_entries < 1:
-        raise ValueError(f"max_entries must be positive, got {max_entries}")
+    require(locals(), lambda v: v > 0, "positive", "eps", "max_entries")
 
     labels = np.asarray(labels)
     logits = net.forward(batch)

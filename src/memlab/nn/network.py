@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, require
 from ..prng import Prng, derive_seed
 from .layers import Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU
 from .tensor import Tensor
@@ -32,23 +32,17 @@ class Network:
     def __init__(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...]):
         self.layers = list(layers)
         self.head = head
-        self.input_shape = shape = _input_dims(input_shape)
-        in_shapes = []
-        for i, layer in enumerate(self.layers):
-            in_shapes.append(shape)
+        shapes = [_input_dims(input_shape)]
+        for i, layer in enumerate(self.all_layers):
             try:
-                shape = layer.output_shape(shape)
+                shapes.append(layer.output_shape(shapes[-1]))
             except ShapeError as e:
-                raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
-        self.feature_shape = shape
-        try:
-            head.output_shape(shape)
-        except ShapeError as e:
-            raise ShapeError(f"head ({head.describe()}): {e}") from None
-        in_shapes.append(shape)
+                where = f"layer {i}" if i < len(self.layers) else "head"
+                raise ShapeError(f"{where} ({layer.describe()}): {e}") from None
+        self.input_shape, self.feature_shape = shapes[0], shapes[-2]
         # per sample, what evaluate sizes its row slices by: the floats of the
         # widest array a forward makes, and the multiply-adds of each product
-        walk = list(zip(self.all_layers, in_shapes))
+        walk = list(zip(self.all_layers, shapes))
         self.sample_floats = max([int(np.prod(self.input_shape))]
                                  + [layer.forward_floats(s) for layer, s in walk])
         self.sample_products = [m for layer, s in walk
@@ -187,16 +181,16 @@ def _input_dims(input_shape: tuple[int, ...]) -> tuple[int, ...]:
     return dims
 
 
-def layers_from_tokens(tokens: list[str], input_shape: tuple[int, ...]
-                       ) -> tuple[list[Layer], tuple[int, ...]]:
-    """Instantiate the layer stack, inferring per-layer input widths.
+def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> Network:
+    """Network from an architecture token string; head appended automatically.
 
-    Returns the layers and the per-sample shape they output; sizing each
-    layer from the shape before it also checks the stack.
+    Each layer is sized from the per-sample shape before it, which also
+    checks the stack.
     """
+    require(locals(), lambda v: v > 0, "positive", "num_classes")
     shape = tuple(int(d) for d in input_shape)
     layers: list[Layer] = []
-    for token in tokens:
+    for token in arch.split():
         kind, _, spec = token.partition(":")
         if kind == "flatten":
             layer: Layer = Flatten()
@@ -224,14 +218,6 @@ def layers_from_tokens(tokens: list[str], input_shape: tuple[int, ...]
             raise ValueError(f"unknown layer token {token!r}")
         shape = layer.output_shape(shape)
         layers.append(layer)
-    return layers, shape
-
-
-def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> Network:
-    """Network from an architecture token string; head appended automatically."""
-    if num_classes <= 0:
-        raise ValueError(f"num_classes must be positive, got {num_classes}")
-    layers, shape = layers_from_tokens(arch.split(), input_shape)
     if len(shape) != 1:
         raise ShapeError(
             f"architecture output shape {shape} is not flat; "

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import require
 from ..prng import Prng
 
 
@@ -70,8 +71,7 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: Prng) -> Tensor:
     Rank-1 shapes are biases and come back as exact zeros (the rng is not
     consumed for them).
     """
-    if fan_in <= 0:
-        raise ValueError(f"fan_in must be positive, got {fan_in}")
+    require(locals(), lambda v: v > 0, "positive", "fan_in")
     shape = tuple(int(d) for d in shape)
     if any(d <= 0 for d in shape):
         raise ValueError(f"dimensions must be positive, got {shape}")

@@ -13,6 +13,8 @@ from functools import partial
 
 import numpy as np
 
+from .errors import require
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -130,14 +132,12 @@ class Prng:
         Plain modulo reduction; the bias is bound/2^64, invisible for any
         class count this library will ever see.
         """
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        require(locals(), lambda v: v > 0, "positive", "bound")
         return self.next_u64() % bound
 
     def fill_below(self, n: int, bound: int) -> np.ndarray:
         """``n`` uniform integers in [0, bound) as int64, same mapping as below()."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        require(locals(), lambda v: v > 0, "positive", "bound")
         return (self.fill_u64(n) % np.uint64(bound)).astype(np.int64)
 
     def fill_gaussian(self, n: int) -> np.ndarray:

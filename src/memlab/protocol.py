@@ -342,10 +342,7 @@ def reshuffle_experiment(d: Dataset, arch: str, cfg: TrainConfig, rounds: int,
     on the new labels before any step of that round (chance level if the
     network has no head start).
     """
-    if rounds < 1:
-        raise ValueError(f"rounds must be >= 1, got {rounds}")
-    if epochs_per_round < 1:
-        raise ValueError(f"epochs_per_round must be >= 1, got {epochs_per_round}")
+    require(locals(), lambda v: v >= 1, ">= 1", "rounds", "epochs_per_round")
     cfg = replace(cfg, epochs=epochs_per_round, monitor="train_loss")
     net = build_network(arch, d.feature_shape, d.num_classes)
     net.initialize(cfg.seed)
@@ -359,10 +356,14 @@ def reshuffle_experiment(d: Dataset, arch: str, cfg: TrainConfig, rounds: int,
     return _checkpoint_of(net, labeled, cfg, rounds * epochs_per_round), log
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse an accuracy that epochs_to_threshold cannot look for."""
+    require(locals(), lambda v: 0.0 < v <= 1.0, "in (0, 1]", "threshold")
+
+
 def epochs_to_threshold(log: MetricsLog, round: int, threshold: float) -> int | None:
     """First epoch of ``round`` whose train accuracy reaches ``threshold``."""
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    check_threshold(threshold)
     rows = log.rows(round=round, split="train")
     if not rows:
         raise ValueError(f"log has no round {round}")
@@ -542,6 +543,12 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     if ft_cfg.epochs < 1:
         raise ConfigError("compare needs at least one fine-tune epoch: each "
                           "arm is scored by its last validation epoch")
+    # each fine-tune feeds target samples to a net built for the source's, and
+    # Network._adapt_input takes them only with the same shape or element count
+    source, target = source_d.feature_shape, target_d.feature_shape
+    if np.prod(source) != np.prod(target):
+        raise ShapeError(f"target per-sample shape {target} does not fit the "
+                         f"source per-sample shape {source}")
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
     args = (source_d, t_train, t_val, arch, pre_cfg, ft_cfg)
     workers, set_threads = _pair_workers(len(seeds))

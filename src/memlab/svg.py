@@ -105,32 +105,25 @@ def render_svg(log: MetricsLog) -> bytes:
                 f'fill="none" stroke="{color}" stroke-width="1.5"{dash}/>'
             )
 
-    # legend: one entry per round, labeled by labeling provenance
-    lx = x1 + 12
-    ly = _MT + 10
-    for i, r in enumerate(rounds):
-        color = _PALETTE[(r - 1) % len(_PALETTE)]
+    # legend: (stroke attributes, label) per round, labeled by labeling
+    # provenance, then the val key
+    legend = []
+    for r in rounds:
         label = log.round_labelings.get(r, f"round {r}")
         if len(rounds) > 1 and not label.startswith("round"):
             label = f"round {r}: {label}"
-        y = ly + i * 18
-        out.append(
-            f'<line x1="{lx}" y1="{y}" x2="{lx + 18}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
+        color = _PALETTE[(r - 1) % len(_PALETTE)]
+        legend.append((f'stroke="{color}" stroke-width="2"', label))
+    if any(rec.split == "val" for rec in log.records):
+        legend.append(('stroke="#222222" stroke-width="2" stroke-dasharray="5,3"',
+                       "val (dashed)"))
+    lx = x1 + 12
+    for i, (stroke, label) in enumerate(legend):
+        y = _MT + 10 + i * 18
+        out.append(f'<line x1="{lx}" y1="{y}" x2="{lx + 18}" y2="{y}" {stroke}/>')
         out.append(
             f'<text x="{lx + 24}" y="{y + 4}" font-family="sans-serif" '
             f'font-size="11">{_escape(label)}</text>'
-        )
-    if any(rec.split == "val" for rec in log.records):
-        y = ly + len(rounds) * 18
-        out.append(
-            f'<line x1="{lx}" y1="{y}" x2="{lx + 18}" y2="{y}" '
-            f'stroke="#222222" stroke-width="2" stroke-dasharray="5,3"/>'
-        )
-        out.append(
-            f'<text x="{lx + 24}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11">val (dashed)</text>'
         )
 
     out.append("</svg>")

@@ -155,6 +155,17 @@ def test_reshuffle_rounds_override_validated(tmp_path, capsys):
                      str(tmp_path / "o"), "--rounds", "0"]) == 1
 
 
+@pytest.mark.parametrize("threshold", ["1.5", "nan", "0"])
+def test_reshuffle_threshold_is_refused_before_the_run(tmp_path, capsys, threshold):
+    cfg = write_cfg(tmp_path, BLOBS_CFG + RESHUFFLE_EXTRA)
+    out = tmp_path / "o"
+    assert dispatch(["reshuffle", "--config", cfg, "--out", str(out),
+                     "--threshold", threshold]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: --threshold: threshold must be in (0, 1], got " in err
+    assert not out.exists()
+
+
 def test_compare_writes_report(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOBS_CFG + COMPARE_EXTRA)
     out = tmp_path / "cmp"
@@ -216,6 +227,17 @@ def test_compare_may_pretrain_for_zero_epochs(tmp_path, capsys):
     assert dispatch(["compare", "--config", cfg, "--out", str(out)]) == 0
     rows = (out / "report.csv").read_text().splitlines()[1:]
     assert len(rows) == 2 and all(r.endswith(",0.00000000") for r in rows)
+
+
+def test_out_of_memory_exits_two(tmp_path, capsys):
+    # 784 x 1e11 float64 weights, 570 TiB: above the 128 TiB a Linux process
+    # maps by default, so the allocation fails at once under any overcommit mode
+    cfg = write_cfg(tmp_path, "data.kind = synth_images\ndata.n = 8\ndata.classes = 3\n"
+                              "arch = flatten dense:100000000000\nepochs = 1\n")
+    out = tmp_path / "o"
+    assert dispatch(["pretrain", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
+    assert not out.exists()
 
 
 def test_bad_config_exits_two(tmp_path, capsys):

@@ -475,6 +475,27 @@ class TestCompareTransfer:
         with pytest.raises(ValueError):
             compare_transfer(d, d, "", blob_cfg(), blob_cfg(), seeds=[])
 
+    def test_shape_mismatch_is_refused_before_any_run(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(protocol, "baseline", lambda *a: calls.append("baseline"))
+        monkeypatch.setattr(protocol, "pretrain_random",
+                            lambda *a: calls.append("pretrain_random"))
+        source = synth_images(12, 3, seed=1, size=28)
+        target = synth_images(12, 3, seed=2, size=16)
+        with pytest.raises(ShapeError, match=re.escape(
+                "target per-sample shape (16, 16) does not fit the source "
+                "per-sample shape (28, 28)")):
+            compare_transfer(source, target, "flatten", blob_cfg(), blob_cfg(),
+                             seeds=[0])
+        assert calls == []
+
+    def test_source_and_target_may_differ_in_shape_but_not_in_size(self):
+        source = synth_blobs(24, 3, 16, 0.5, seed=1)
+        target = synth_images(24, 3, seed=2, size=4)
+        report = compare_transfer(source, target, "flatten", blob_cfg(epochs=1),
+                                  blob_cfg(epochs=1), seeds=[0])
+        assert report.seeds == [0] and len(report.pretrained) == 1
+
     def test_worker_pool_matches_serial(self, monkeypatch):
         source = synth_blobs(96, 5, 6, 0.5, seed=10)
         target = synth_blobs(80, 3, 6, 0.5, seed=11)

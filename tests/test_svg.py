@@ -1,5 +1,6 @@
 """Learning-curve SVG rendering."""
 
+import hashlib
 import re
 import xml.etree.ElementTree as ET
 
@@ -64,6 +65,14 @@ def test_well_formed_xml():
 def test_byte_deterministic():
     assert render_svg(make_log(rounds=2, epochs=5)) == \
         render_svg(make_log(rounds=2, epochs=5))
+
+
+def test_several_rounds_with_val_are_pinned():
+    # no byte gate renders several legend entries together with the val key
+    svg = render_svg(make_log(rounds=3, epochs=4, with_val=True, labelings={
+        1: "random(seed=3)", 2: "reshuffled(seed=7, round=2)", 3: 'a<b & "c"'}))
+    assert hashlib.sha256(svg).hexdigest() == (
+        "8c524eda225af72c66fd1c94d025519f06e79770260bce79eb84f106367547b1")
 
 
 def test_legend_uses_labeling_provenance():

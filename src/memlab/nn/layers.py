@@ -130,10 +130,6 @@ class Layer:
     def describe(self) -> str:
         return type(self).__name__
 
-    def token(self) -> str:
-        """Architecture-string token that reconstructs this layer."""
-        return type(self).__name__.lower()
-
     def __repr__(self) -> str:
         return self.describe()
 
@@ -178,9 +174,6 @@ class Dense(Layer):
 
     def describe(self) -> str:
         return f"Dense({self.in_features}->{self.out_features})"
-
-    def token(self) -> str:
-        return f"dense:{self.out_features}"
 
 
 class ReLU(Layer):
@@ -344,9 +337,6 @@ class Conv2d(Layer):
         return (f"Conv2d({self.in_channels}->{self.out_channels}, "
                 f"k={self.kernel}, s={self.stride}, p={self.padding})")
 
-    def token(self) -> str:
-        return f"conv:{self.out_channels},{self.kernel},{self.stride},{self.padding}"
-
 
 class MaxPool2d(Layer):
     def __init__(self, kernel: int, stride: int | None = None):
@@ -429,6 +419,3 @@ class MaxPool2d(Layer):
 
     def describe(self) -> str:
         return f"MaxPool2d(k={self.kernel}, s={self.stride})"
-
-    def token(self) -> str:
-        return f"maxpool:{self.kernel},{self.stride}"

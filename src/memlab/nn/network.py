@@ -1,13 +1,14 @@
-"""Feed-forward network: an ordered layer stack plus a classifier head.
-
-Architectures are described by a small token string, e.g.
+"""Feed-forward network: an ordered layer stack plus a classifier head,
+built from an architecture token string, e.g.
 
     flatten dense:512 relu dense:512 relu
     conv:8,3,1,1 relu maxpool:2 flatten
 
-The head (a Dense layer mapping features to class logits) is appended
-automatically, so the same token string serves any class count.  A full
-descriptor pins down input shape and head width too:
+Each token is read in order and its layer sized from the per-sample shape
+before it.  The head (a Dense layer mapping features to class logits) is
+appended automatically, so the same token string serves any class count.
+A full descriptor pins down input shape and head width too, with every
+token in canonical form (each argument written out):
 
     in:28x28 flatten dense:512 relu dense:512 relu head:10
 
@@ -25,41 +26,48 @@ from .tensor import Tensor
 
 _LAYER_STREAM_TAG = 0x4C415945_52535453  # distinct stream family for layer init
 
+# each token kind: the least and most integer arguments it takes, its usage
+_KINDS = {"flatten": (0, 0, "flatten"), "relu": (0, 0, "relu"),
+          "dense": (1, 1, "dense:W"), "conv": (2, 4, "conv:C,K[,S[,P]]"),
+          "maxpool": (1, 2, "maxpool:K[,S]")}
+
 
 class Network:
-    """Layers plus head, with construction-time shape validation."""
+    """Layers plus head, built from ``arch``'s tokens in one walk that
+    checks each layer fits the per-sample shape before it; ``descriptor``
+    is the canonical full descriptor of what was built."""
 
-    def __init__(self, layers: list[Layer], head: Dense, input_shape: tuple[int, ...]):
-        self.layers = list(layers)
-        self.head = head
-        shapes = [_input_dims(input_shape)]
-        for i, layer in enumerate(self.all_layers):
+    def __init__(self, arch: str, input_shape: tuple[int, ...], num_classes: int):
+        require(locals(), lambda v: v > 0, "positive", "num_classes")
+        self.input_shape = shape = _input_dims(input_shape)
+        tokens = arch.split()
+        layers, canonical = [], ["in:" + "x".join(str(d) for d in shape)]
+        # per sample, what evaluate sizes its row slices by: the floats of
+        # the widest array a forward makes, and the multiply-adds of each product
+        self.sample_floats, self.sample_products = int(np.prod(shape)), []
+        self._first_params = len(tokens)
+        # the head is read as one more dense token, and written as head:N
+        for i, token in enumerate(tokens + [f"dense:{int(num_classes)}"]):
             try:
-                shapes.append(layer.output_shape(shapes[-1]))
-            except ShapeError as e:
-                where = f"layer {i}" if i < len(self.layers) else "head"
-                raise ShapeError(f"{where} ({layer.describe()}): {e}") from None
-        self.input_shape, self.feature_shape = shapes[0], shapes[-2]
-        # per sample, what evaluate sizes its row slices by: the floats of the
-        # widest array a forward makes, and the multiply-adds of each product
-        walk = list(zip(self.all_layers, shapes))
-        self.sample_floats = max([int(np.prod(self.input_shape))]
-                                 + [layer.forward_floats(s) for layer, s in walk])
-        self.sample_products = [m for layer, s in walk
-                                for m in layer.forward_products(s)]
-        self._first_params = next(i for i, layer in enumerate(self.all_layers)
-                                  if layer.params())
+                layer, canon = _layer(token, shape)
+                out = layer.output_shape(shape)
+            except (ShapeError, ValueError) as e:
+                where = f"layer {i} ({token})" if i < len(tokens) else "head"
+                raise type(e)(f"{where}: {e}") from None
+            self.sample_floats = max(self.sample_floats, layer.forward_floats(shape))
+            self.sample_products += layer.forward_products(shape)
+            if layer.params():
+                self._first_params = min(self._first_params, i)
+            layers.append(layer)
+            canonical.append(canon)
+            shape = out
+        *self.layers, self.head = layers
+        canonical[-1] = f"head:{self.head.out_features}"
+        self.descriptor = " ".join(canonical)
 
     @property
     def num_classes(self) -> int:
         return self.head.out_features
-
-    @property
-    def descriptor(self) -> str:
-        """Canonical full descriptor: input shape, layer tokens, head width."""
-        dims = "x".join(str(d) for d in self.input_shape)
-        tokens = [layer.token() for layer in self.layers]
-        return " ".join([f"in:{dims}"] + tokens + [f"head:{self.num_classes}"])
 
     @property
     def all_layers(self) -> list[Layer]:
@@ -164,66 +172,45 @@ class Network:
             p.data = np.asarray(t, dtype=np.float64).copy()
 
 
-def _parse_int_args(token: str, spec: str, minimum: int, maximum: int) -> list[int]:
-    parts = spec.split(",")
-    if not (minimum <= len(parts) <= maximum):
-        raise ValueError(f"bad layer token {token!r}")
+def _layer(token: str, shape: tuple[int, ...]) -> tuple[Layer, str]:
+    """The layer ``token`` builds on per-sample input ``shape``, with the
+    constructors' defaults, and its canonical token read back from it."""
+    kind, colon, spec = token.partition(":")
+    if kind not in _KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    least, most, usage = _KINDS[kind]
     try:
-        return [int(p) for p in parts]
+        args = [int(a) for a in spec.split(",")] if colon else []
     except ValueError:
-        raise ValueError(f"bad layer token {token!r}") from None
+        args = None
+    if args is None or not least <= len(args) <= most:
+        raise ValueError(f"bad arguments; the form is {usage}")
+    if kind == "flatten":
+        return Flatten(), kind
+    if kind == "relu":
+        return ReLU(), kind
+    if kind == "dense":
+        if len(shape) != 1:
+            raise ShapeError(f"needs flat input, got {shape}; insert 'flatten' before it")
+        layer = Dense(shape[0], *args)
+        return layer, f"dense:{layer.out_features}"
+    if kind == "conv":
+        layer = Conv2d(shape[0], *args)
+        return layer, f"conv:{layer.out_channels},{layer.kernel},{layer.stride},{layer.padding}"
+    layer = MaxPool2d(*args)
+    return layer, f"maxpool:{layer.kernel},{layer.stride}"
 
 
 def _input_dims(input_shape: tuple[int, ...]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in input_shape)
-    if any(d <= 0 for d in dims):
+    if not dims or min(dims) <= 0:
         raise ValueError(f"input dimensions must be positive: {dims}")
     return dims
 
 
 def build_network(arch: str, input_shape: tuple[int, ...], num_classes: int) -> Network:
-    """Network from an architecture token string; head appended automatically.
-
-    Each layer is sized from the per-sample shape before it, which also
-    checks the stack.
-    """
-    require(locals(), lambda v: v > 0, "positive", "num_classes")
-    shape = tuple(int(d) for d in input_shape)
-    layers: list[Layer] = []
-    for token in arch.split():
-        kind, _, spec = token.partition(":")
-        if kind == "flatten":
-            layer: Layer = Flatten()
-        elif kind == "relu":
-            layer = ReLU()
-        elif kind == "dense":
-            (width,) = _parse_int_args(token, spec, 1, 1)
-            if len(shape) != 1:
-                raise ShapeError(
-                    f"{token!r} needs flat input; insert 'flatten' before it"
-                )
-            layer = Dense(shape[0], width)
-        elif kind == "conv":
-            args = _parse_int_args(token, spec, 2, 4)
-            out_ch, kernel = args[0], args[1]
-            stride = args[2] if len(args) > 2 else 1
-            padding = args[3] if len(args) > 3 else 0
-            if len(shape) != 3:
-                raise ShapeError(f"{token!r} needs (channels, H, W) input")
-            layer = Conv2d(shape[0], out_ch, kernel, stride, padding)
-        elif kind == "maxpool":
-            args = _parse_int_args(token, spec, 1, 2)
-            layer = MaxPool2d(args[0], args[1] if len(args) > 1 else None)
-        else:
-            raise ValueError(f"unknown layer token {token!r}")
-        shape = layer.output_shape(shape)
-        layers.append(layer)
-    if len(shape) != 1:
-        raise ShapeError(
-            f"architecture output shape {shape} is not flat; "
-            "end the token list with 'flatten'"
-        )
-    return Network(layers, Dense(shape[0], num_classes), input_shape)
+    """Network from an architecture token string; head appended automatically."""
+    return Network(arch, input_shape, num_classes)
 
 
 def parse_descriptor(descriptor: str) -> tuple[str, tuple[int, ...], int]:

@@ -240,6 +240,20 @@ def test_out_of_memory_exits_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, layer", [
+    (BLOBS_CFG.replace("arch = flatten", "arch = flatten dense:8 relu:junk"),
+     "layer 2 (relu:junk)"),
+    ("data.kind = synth_images\ndata.n = 8\ndata.classes = 3\ndata.size = 6\n"
+     "arch = maxpool:9\nepochs = 1\n", "layer 0 (maxpool:9)"),
+], ids=["relu:junk", "maxpool:9 on 6x6"])
+def test_bad_arch_exits_two_naming_its_layer(tmp_path, capsys, text, layer):
+    out = tmp_path / "o"
+    assert dispatch(["pretrain", "--config", write_cfg(tmp_path, text),
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {layer}: ")
+    assert not out.exists()
+
+
 def test_bad_config_exits_two(tmp_path, capsys):
     cfg = write_cfg(tmp_path, BLOBS_CFG + "patiense = 10\n")
     assert dispatch(["pretrain", "--config", cfg,

@@ -20,12 +20,14 @@ X, Y = np.ones((2, 4)), np.array([0, 1])
 # (call, exact message): one row per argument an entry point checks
 CHECKS = [
     (lambda: synth_blobs(12, 3, 4, math.nan, seed=0), "spread must be finite, got nan"),
+    (lambda: synth_blobs(12, 3, 4, math.inf, seed=0), "spread must be finite, got inf"),
     (lambda: synth_blobs(12, 3, 4, 0.0, seed=0), "spread must be positive, got 0.0"),
     (lambda: synth_blobs(12, 3, 0, 0.5, seed=0), "dim must be >= 1, got 0"),
     (lambda: synth_blobs(12, 0, 4, 0.5, seed=0), "num_classes must be positive, got 0"),
     (lambda: synth_images(10, 0, seed=0), "num_classes must be positive, got 0"),
     (lambda: synth_images(0, 3, seed=0), "n must be positive, got 0"),
     (lambda: synth_images(10, 3, seed=0, size=0), "size must be >= 1, got 0"),
+    (lambda: synth_images(10, 3, seed=0, size=-3), "size must be >= 1, got -3"),
     (lambda: synth_images(10, 3, seed=0, bumps=-1), "bumps must be >= 0, got -1"),
     (lambda: synth_images(10, 3, seed=0, jitter=math.inf), "jitter must be finite, got inf"),
     (lambda: synth_images(10, 3, seed=0, noise=math.nan), "noise must be finite, got nan"),
@@ -47,10 +49,11 @@ CHECKS = [
     (lambda: Prng(0).fill_below(5, -1), "bound must be positive, got -1"),
     (lambda: build_network("flatten", (4,), 0), "num_classes must be positive, got 0"),
 ]
-CHECK_IDS = ["synth_blobs spread nan", "synth_blobs spread 0", "synth_blobs dim",
-             "synth_blobs num_classes", "synth_images num_classes", "synth_images n",
-             "synth_images size", "synth_images bumps", "synth_images jitter",
-             "synth_images noise", "synth_images clutter", "reshuffle_labels round",
+CHECK_IDS = ["synth_blobs spread nan", "synth_blobs spread inf", "synth_blobs spread 0",
+             "synth_blobs dim", "synth_blobs num_classes", "synth_images num_classes",
+             "synth_images n", "synth_images size", "synth_images size -3",
+             "synth_images bumps", "synth_images jitter", "synth_images noise",
+             "synth_images clutter", "reshuffle_labels round",
              "Dataset num_classes", "reshuffle_experiment rounds",
              "reshuffle_experiment epochs_per_round", "epochs_to_threshold 0",
              "epochs_to_threshold nan", "grad_check eps", "grad_check max_entries",

@@ -426,17 +426,6 @@ def test_backward_without_input_grad(make, x_shape):
         lean.backward(dy, input_grad=False)
 
 
-# ---------------------------------------------------------------- tokens
-
-def test_layer_tokens():
-    assert Dense(3, 7).token() == "dense:7"
-    assert Conv2d(1, 8, 3).token() == "conv:8,3,1,0"
-    assert Conv2d(2, 4, 5, stride=2, padding=1).token() == "conv:4,5,2,1"
-    assert MaxPool2d(2).token() == "maxpool:2,2"
-    assert MaxPool2d(3, 1).token() == "maxpool:3,1"
-    assert ReLU().token() == "relu"
-    assert Flatten().token() == "flatten"
-
 
 # ---------------------------------------------------------------- products
 

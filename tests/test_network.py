@@ -1,10 +1,14 @@
 """Network assembly, descriptors, initialization streams, state loading."""
 
+import re
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from memlab import Prng, ShapeError, build_network, network_from_descriptor
-from memlab.nn import Conv2d, Dense, Flatten, Network, parse_descriptor
+from memlab.nn import parse_descriptor
 
 
 def rand(shape, seed):
@@ -60,11 +64,95 @@ def test_head_needs_flat_features():
 
 
 def test_shape_error_names_layer():
-    # construction re-checks the stack and blames the offending position
-    with pytest.raises(ShapeError, match="layer 1"):
-        Network([Flatten(), Conv2d(2, 4, 3)], Dense(8, 2), (2, 4, 4))
-    with pytest.raises(ShapeError, match="head"):
-        Network([Flatten()], Dense(99, 2), (2, 4, 4))
+    # construction checks the stack and blames the offending position
+    with pytest.raises(ShapeError, match=r"^layer 1 \(conv:4,3\): "):
+        build_network("flatten conv:4,3", (2, 4, 4), 2)
+    with pytest.raises(ShapeError, match="^head: "):
+        build_network("relu", (2, 4, 4), 2)
+
+
+@pytest.mark.parametrize("arch, shape, error, prefix", [
+    ("maxpool:5", (1, 3, 3), ShapeError, "layer 0 (maxpool:5): "),
+    ("flatten dense:4 conv:2,1", (1, 3, 3), ShapeError, "layer 2 (conv:2,1): "),
+    ("conv:8,3,0", (1, 8, 8), ValueError,
+     "layer 0 (conv:8,3,0): stride must be positive, got 0"),
+    ("dense:4", (2, 2), ShapeError, "layer 0 (dense:4): "),
+    ("conv:4,3", (1, 8, 8), ShapeError, "head"),
+    ("relu:3", (4,), ValueError, "layer 0 (relu:3): "),
+    ("flatten relu:", (4,), ValueError, "layer 1 (relu:): "),
+    ("flatten:9", (4,), ValueError, "layer 0 (flatten:9): "),
+    ("dense:4", (0,), ValueError, "input dimensions must be positive"),
+], ids=["pool too wide", "conv on flat", "conv stride 0", "dense unflattened",
+        "head unflattened", "relu:3", "relu:", "flatten:9", "empty input"])
+def test_errors_name_their_position(arch, shape, error, prefix):
+    with pytest.raises(error, match="^" + re.escape(prefix)):
+        build_network(arch, shape, 2)
+
+
+@pytest.mark.parametrize("token, shape, canonical", [
+    ("dense:7", (3,), "dense:7"),
+    ("dense:08", (3,), "dense:8"),
+    ("conv:8,3", (1, 8, 8), "conv:8,3,1,0"),
+    ("conv:4,5,2,1", (2, 9, 9), "conv:4,5,2,1"),
+    ("maxpool:2", (1, 4, 4), "maxpool:2,2"),
+    ("maxpool:3,1", (1, 4, 4), "maxpool:3,1"),
+    ("relu", (3,), "relu"),
+    ("flatten", (1, 4, 4), "flatten"),
+], ids=str)
+def test_descriptor_writes_every_argument(token, shape, canonical):
+    net = build_network(f"{token} flatten", shape, 2)
+    assert net.descriptor.split()[1] == canonical
+
+
+@st.composite
+def _archs(draw):
+    """Token strings from the grammar on a flat or a (C, H, W) input shape:
+    conv, maxpool and relu tokens on images, then flatten, dense and relu,
+    in short and full forms.  About one token in six is made bad: another
+    kind in its place (unknown, or one the shape before it does not fit),
+    an argument too many or too few, or one out of range or no integer."""
+    side = st.integers(1, 9)
+    image = draw(st.booleans())
+    shape = draw(st.tuples(st.integers(1, 3), side, side) if image else st.tuples(side))
+    kinds = draw(st.lists(st.sampled_from(["conv", "maxpool", "relu"]), max_size=3)
+                 if image else st.just([]))
+    kinds += ["flatten"] + draw(st.lists(st.sampled_from(["dense", "relu"]), max_size=3))
+    tokens = []
+    for kind in kinds:
+        fault = draw(st.sampled_from([None] * 5 + ["kind", "count", "value"]))
+        if fault == "kind":
+            kind = draw(st.sampled_from(["flatten", "relu", "dense", "conv", "maxpool",
+                                         "dropout"]))
+        least, most = {"dense": (1, 1), "conv": (2, 4), "maxpool": (1, 2)}.get(kind, (0, 0))
+        args = [draw(st.sampled_from(["1", "2", "3", "02"]))
+                for _ in range(draw(st.integers(least, most)))]
+        if fault == "count":
+            args = args[:-1] if args and draw(st.booleans()) else args + ["1"]
+        elif fault == "value" and args:
+            bad = draw(st.sampled_from(["0", "-1", "", "x"]))
+            args[draw(st.integers(0, len(args) - 1))] = bad
+        tokens.append(kind + (":" + ",".join(args) if args else ""))
+    return tokens, shape
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_archs())
+def test_tokens_build_what_their_descriptor_rebuilds_or_name_the_fault(case):
+    tokens, shape = case
+    try:
+        net = build_network(" ".join(tokens), shape, 3)
+    except (ShapeError, ValueError) as e:
+        at = re.match(r"layer (\d+) ", str(e))
+        assert at or str(e).startswith("head"), str(e)
+        if at:
+            i = int(at.group(1))
+            assert str(e).startswith(f"layer {i} ({tokens[i]}): "), (tokens, str(e))
+        return
+    again = network_from_descriptor(net.descriptor)
+    assert again.descriptor == net.descriptor
+    assert [p.shape for p in again.parameters()] == [p.shape for p in net.parameters()]
+    assert again.sample_floats == net.sample_floats
+    assert again.sample_products == net.sample_products
 
 
 def test_forward_identity_single_dense():

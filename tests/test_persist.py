@@ -150,9 +150,9 @@ class TestCheckpointFormat:
             load_checkpoint(p)
 
     @pytest.mark.parametrize("descriptor, message", [
-        ("in:4 dunce:3 head:2", "unknown layer token 'dunce:3'"),
+        ("in:4 dunce:3 head:2", "layer 0 (dunce:3): unknown layer kind 'dunce'"),
         ("in:4 flatten dense:3 relu head:0", "num_classes must be positive"),
-        ("in:2x2 dense:3 head:2", "'dense:3' needs flat input"),
+        ("in:2x2 dense:3 head:2", "layer 0 (dense:3): needs flat input, got (2, 2)"),
         # 8 * 10**18 bytes of weights: no address space holds them
         ("in:1000000000 dense:1000000000 head:2", "Unable to allocate"),
     ], ids=["unknown token", "empty head", "unflattened", "unallocatable"])

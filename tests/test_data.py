@@ -497,6 +497,18 @@ class TestSynth:
         with pytest.raises(ValueError):
             synth_blobs(5, 10, 16, 0.5, seed=0)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: synth_blobs(100, 10, 0, 0.5, seed=0), "dim must be >= 1"),
+        (lambda: synth_blobs(100, 10, 16, math.nan, seed=0), "spread must be finite"),
+        (lambda: synth_images(10, 3, seed=0, size=0), "size must be >= 1"),
+        (lambda: synth_images(10, 3, seed=0, noise=math.nan), "noise must be finite"),
+        (lambda: synth_images(10, 3, seed=0, jitter=math.inf), "jitter must be finite"),
+        (lambda: synth_images(10, 3, seed=0, clutter=-math.inf), "clutter must be finite"),
+    ], ids=["dim 0", "spread nan", "size 0", "noise nan", "jitter inf", "clutter -inf"])
+    def test_bad_generator_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_images_shape_range_determinism(self):
         a = synth_images(30, 10, seed=7, size=12)
         assert a.samples.shape == (30, 12, 12)

@@ -21,6 +21,8 @@ memory order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError, require
@@ -105,7 +107,7 @@ class Layer:
 
     def forward_floats(self, in_shape: tuple[int, ...]) -> int:
         """Floats per sample in the widest array forward makes."""
-        return int(np.prod(self.output_shape(in_shape)))
+        return math.prod(self.output_shape(in_shape))
 
     def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
         """Multiply-adds (M*N*K) per sample of each BLAS product forward
@@ -208,7 +210,7 @@ class Flatten(Layer):
     """
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        return (int(np.prod(in_shape)),)
+        return (math.prod(in_shape),)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._cache = (x.shape, _axis_order(x))

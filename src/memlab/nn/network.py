@@ -17,6 +17,8 @@ and is what checkpoints store.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ShapeError, require
@@ -44,7 +46,7 @@ class Network:
         layers, canonical = [], ["in:" + "x".join(str(d) for d in shape)]
         # per sample, what evaluate sizes its row slices by: the floats of
         # the widest array a forward makes, and the multiply-adds of each product
-        self.sample_floats, self.sample_products = int(np.prod(shape)), []
+        self.sample_floats, self.sample_products = math.prod(shape), []
         self._first_params = len(tokens)
         # the head is read as one more dense token, and written as head:N
         for i, token in enumerate(tokens + [f"dense:{int(num_classes)}"]):
@@ -96,7 +98,7 @@ class Network:
         rest = batch.shape[1:]
         if rest == self.input_shape:
             return batch
-        if int(np.prod(rest)) == int(np.prod(self.input_shape)):
+        if math.prod(rest) == math.prod(self.input_shape):
             return batch.reshape((batch.shape[0],) + self.input_shape)
         raise ShapeError(
             f"network input: got per-sample shape {rest}, "

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import require
@@ -77,7 +79,7 @@ def he_init(shape: tuple[int, ...], fan_in: int, rng: Prng) -> Tensor:
         raise ValueError(f"dimensions must be positive, got {shape}")
     if len(shape) == 1:
         return Tensor._own(np.zeros(shape))
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     w = rng.fill_gaussian(n).reshape(shape)
     w *= np.sqrt(2.0 / fan_in)
     return Tensor._own(w)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -402,20 +403,18 @@ class TransferReport:
 
 def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
                    arch: str, pre_cfg: TrainConfig, ft_cfg: TrainConfig,
-                   seed: int) -> tuple[float, float, str, str]:
+                   seed: int) -> tuple[float, float, tuple[str, str]]:
     ft = replace(ft_cfg, seed=seed)
     base_log = baseline(t_train, arch, ft, t_val)[1]
     ckpt = pretrain_random(source_d, arch, replace(pre_cfg, seed=seed),
                            derive_seed(seed, _LABEL_TAG))[0]
     ft_log = finetune(ckpt, t_train, ft, val_d=t_val)[1]
+    fingerprints = (base_log.data_order_fingerprint, ft_log.data_order_fingerprint)
+    if fingerprints[0] != fingerprints[1]:
+        raise RuntimeError("paired runs consumed different data orders; pairing is broken")
     # the last val record is evaluate() on the final weights of each arm
-    return (base_log.final("val").accuracy, ft_log.final("val").accuracy,
-            base_log.data_order_fingerprint, ft_log.data_order_fingerprint)
+    return base_log.final("val").accuracy, ft_log.final("val").accuracy, fingerprints
 
-
-# compare_transfer forks workers only while _transfer_pair runs this code: a
-# wrapper or a test double rebound in its place would see no call a child makes
-_PAIR_CODE = _transfer_pair.__code__
 
 # the OpenBLAS entry points that set its thread count: numpy's bundled
 # build first, then OpenBLAS's own 64-bit and 32-bit integer builds
@@ -444,79 +443,98 @@ def _blas_thread_setter():
     return None
 
 
-def _pair_workers(pairs: int):
-    """(worker count, BLAS thread setter) for ``pairs`` seed pairs; one
-    worker means the pairs run in this process."""
+def _seed_workers(job, count: int):
+    """(worker count, BLAS thread setter) for ``count`` seeds of ``job``.
+
+    One worker, meaning the seeds run in this process, when there is one
+    seed or one usable core, when fork or the BLAS thread count is not
+    available, when the caller is daemonic, or when ``job`` is not the
+    function its module binds under its name: a wrapper or a test double
+    bound in a job's place would see no call a child makes.
+    """
     # imported on first use: at module level it would add about 10 ms and 0.6 MiB
     # to every import of memlab, compare or not
     import multiprocessing
-    if (pairs < 2 or getattr(_transfer_pair, "__code__", None) is not _PAIR_CODE
-            or "fork" not in multiprocessing.get_all_start_methods()
+    named = getattr(job, "__globals__", {}).get(getattr(job, "__name__", None)) is job
+    if (count < 2 or not named or "fork" not in multiprocessing.get_all_start_methods()
             or multiprocessing.current_process().daemon):
         return 1, None
-    workers = min(pairs, _usable_cores())
+    workers = min(count, _usable_cores())
     set_threads = _blas_thread_setter() if workers > 1 else None
     return (workers, set_threads) if set_threads is not None else (1, None)
 
 
 def _seed_error(seed: int, kind: type, message: str) -> Exception:
-    """The error a failed pair raised, of its type, naming its seed."""
+    """The error a failed seed raised, of its type, naming its seed."""
     try:
         return kind(f"seed {seed}: {message}")
     except Exception:  # a type that takes other arguments
         return RuntimeError(f"seed {seed}: {kind.__name__}: {message}")
 
 
-def _pair_results(args: tuple, seeds: list[int]):
-    """(True, pair) for each seed's pair in order, or (False, (type,
-    message)) for the error that stops them."""
-    for seed in seeds:
-        try:
-            yield True, _transfer_pair(*args, seed)
-        except Exception as e:
-            yield False, (type(e), str(e))
-            return
+def _seed_map(job, args: tuple, seeds) -> list:
+    """[job(*args, seed) for seed in seeds], computed on forked workers.
 
+    There are _seed_workers(job, len(seeds)) workers, each at one BLAS
+    thread; with one, the seeds run in this process, in order.  Worker w
+    runs seeds[w::workers] and sends each result back as it finishes it, so
+    seed i's result is the next from worker i % workers.  The objects in
+    ``args`` are shared copy-on-write, and only results are pickled.  The
+    first failing seed's error is raised with its type, naming its seed,
+    and the workers still running are terminated; every worker is joined
+    before this returns or raises.
+    """
+    seeds = list(seeds)
+    workers, set_threads = _seed_workers(job, len(seeds))
 
-def _pair_worker(conn, set_threads, args: tuple, seeds: list[int]) -> None:
-    """One forked worker: its seeds' messages, in order, at one BLAS thread."""
-    set_threads(1)
-    for message in _pair_results(args, seeds):
-        conn.send(message)
-    conn.close()
-
-
-def _forked_results(args: tuple, seeds: list[int], workers: int, set_threads):
-    """Every seed's message, in seed order, from ``workers`` forked
-    processes: worker w runs seeds[w::workers], so seed i's message is the
-    next from worker i % workers.  The corpora in ``args`` are shared
-    copy-on-write.  Leaving early terminates the workers still running."""
-    import multiprocessing
-    ctx = multiprocessing.get_context("fork")
-    jobs = []
-    try:
-        for w in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_pair_worker,
-                               args=(send, set_threads, args, seeds[w::workers]))
-            proc.start()
-            send.close()
-            jobs.append((proc, recv))
-        for i in range(len(seeds)):
-            proc, recv = jobs[i % workers]
+    def messages(part):
+        """(True, result) per seed, or (False, (type, message)) to end."""
+        for seed in part:
             try:
-                message = recv.recv()
-            except EOFError:
-                proc.join()
-                raise RuntimeError(f"the worker for seeds {seeds[i % workers::workers]} "
-                                   f"exited with code {proc.exitcode}") from None
-            yield message
-    except BaseException:  # left early: stop what still runs
-        for proc, _ in jobs:
+                yield True, job(*args, seed)
+            except Exception as e:
+                yield False, (type(e), str(e))
+                return
+
+    def work(conn, part):
+        set_threads(1)
+        for message in messages(part):
+            conn.send(message)
+        conn.close()
+
+    def receive(i):
+        proc, recv = procs[i % workers]
+        try:
+            return recv.recv()
+        except EOFError:
+            proc.join()
+            raise RuntimeError(f"the worker for seeds {seeds[i % workers::workers]} "
+                               f"exited with code {proc.exitcode}") from None
+
+    serial, procs = messages(seeds), []
+    try:
+        if workers > 1:
+            import multiprocessing
+            ctx = multiprocessing.get_context("fork")
+            for w in range(workers):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=work, args=(send, seeds[w::workers]))
+                proc.start()
+                send.close()
+                procs.append((proc, recv))
+        results = []
+        for i, seed in enumerate(seeds):
+            ok, value = receive(i) if procs else next(serial)
+            if not ok:
+                raise _seed_error(seed, *value)
+            results.append(value)
+        return results
+    except BaseException:  # stop what still runs
+        for proc, _ in procs:
             proc.terminate()
         raise
     finally:
-        for proc, recv in jobs:
+        for proc, recv in procs:
             recv.close()
             proc.join()
 
@@ -530,13 +548,10 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
 
     Within a pair everything except initialization is shared: same seed,
     config, data and minibatch order (certified by equal data-order
-    fingerprints).  The pairs are independent, so they run in one forked
-    worker per usable core (at most one per seed), each at one BLAS
-    thread.  They run in this process, in seed order, when that makes one
-    worker, when fork or the BLAS thread count is not available, when the
-    caller is a daemonic process, or when _transfer_pair has been
-    replaced.  The report is the same either way, and the error of the
-    first failing seed is raised with its type, naming its seed.
+    fingerprints, which _transfer_pair checks).  The pairs are independent,
+    so they run on _seed_map's workers, one per usable core; the report is
+    the same on any number, and the first failing seed's error is raised
+    with its type, naming its seed.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -546,27 +561,10 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     # each fine-tune feeds target samples to a net built for the source's, and
     # Network._adapt_input takes them only with the same shape or element count
     source, target = source_d.feature_shape, target_d.feature_shape
-    if np.prod(source) != np.prod(target):
+    if math.prod(source) != math.prod(target):
         raise ShapeError(f"target per-sample shape {target} does not fit the "
                          f"source per-sample shape {source}")
     t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
     args = (source_d, t_train, t_val, arch, pre_cfg, ft_cfg)
-    workers, set_threads = _pair_workers(len(seeds))
-    results = (_forked_results(args, list(seeds), workers, set_threads)
-               if workers > 1 else _pair_results(args, seeds))
-    report = TransferReport(list(seeds), [], [])
-    try:
-        for (ok, value), seed in zip(results, seeds):
-            if not ok:
-                raise _seed_error(seed, *value)
-            base_acc, ft_acc, base_fp, ft_fp = value
-            if base_fp != ft_fp:
-                raise RuntimeError(
-                    "paired runs consumed different data orders; pairing is broken"
-                )
-            report.baseline.append(base_acc)
-            report.pretrained.append(ft_acc)
-            report.order_fingerprints.append((base_fp, ft_fp))
-    finally:
-        results.close()
-    return report
+    base_acc, ft_acc, fingerprints = map(list, zip(*_seed_map(_transfer_pair, args, seeds)))
+    return TransferReport(list(seeds), base_acc, ft_acc, fingerprints)

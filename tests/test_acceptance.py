@@ -1,8 +1,8 @@
 """Acceptance gate: one test per claimed property, one pass/fail line each.
 
 These are the binding end-to-end checks; unit details live in the other
-test files.  Criteria 2, 3 and 5 train real networks and together take
-on the order of ten minutes.
+test files.  Criteria 2, 3 and 5 train real networks, one seed per
+usable core at a time, and together take about two minutes on two cores.
 """
 
 import statistics
@@ -11,6 +11,7 @@ import struct
 import numpy as np
 import pytest
 
+from memlab import protocol
 from memlab import (BadMagicError, Checkpoint, ConfigError,
                     CountMismatchError, PlateauScheduler, Prng, SplitSpec,
                     TrainConfig, TruncatedError, VersionError, build_network,
@@ -40,17 +41,27 @@ def memo_cfg(seed, epochs):
                        seed=seed, monitor="train_loss")
 
 
+# the per-seed jobs of criteria 2-4: module-level functions returning plain
+# data, so that protocol._seed_map runs their seeds on forked workers
+
+def memorization_epochs(d, seed):
+    _, log = pretrain_random(d, MEMO_ARCH, memo_cfg(seed, 50), label_seed=1000 + seed)
+    return epochs_to_threshold(log, 1, 0.99)
+
+
+def reshuffle_outcome(d, seed):
+    """Per round: epochs to 0.9 train accuracy, and the accuracy before
+    the round's first step."""
+    _, log = reshuffle_experiment(d, MEMO_ARCH, memo_cfg(seed, 150), rounds=4,
+                                  epochs_per_round=150, base_seed=7)
+    return ({r: epochs_to_threshold(log, r, 0.9) for r in log.rounds()},
+            log.round_start_accuracy)
+
+
 @pytest.fixture(scope="module")
-def reshuffle_logs():
+def reshuffle_runs():
     # shared by criteria 3 and 4: five seeds, four rounds each
-    logs = []
-    d = memo_corpus()
-    for seed in range(5):
-        _, log = reshuffle_experiment(d, MEMO_ARCH, memo_cfg(seed, 150),
-                                      rounds=4, epochs_per_round=150,
-                                      base_seed=7)
-        logs.append(log)
-    return logs
+    return protocol._seed_map(reshuffle_outcome, (memo_corpus(),), range(5))
 
 
 def test_criterion_1_gradient_correctness():
@@ -82,21 +93,16 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_memorization_capacity():
     # 512-wide MLP drives 128 images with random labels to >= 0.99 train
     # accuracy; 50 epochs is a hard subset of the 500-epoch budget
-    d = memo_corpus()
-    hits = []
-    for seed in range(5):
-        _, log = pretrain_random(d, MEMO_ARCH, memo_cfg(seed, 50),
-                                 label_seed=1000 + seed)
-        hits.append(epochs_to_threshold(log, 1, 0.99))
+    hits = protocol._seed_map(memorization_epochs, (memo_corpus(),), range(5))
     reached = sum(1 for h in hits if h is not None)
     report(2, "memorization capacity", reached >= 4,
            f"epochs to 0.99: {hits}, reached in {reached}/5 seeds")
 
 
-def test_criterion_3_reshuffle_speedup(reshuffle_logs):
+def test_criterion_3_reshuffle_speedup(reshuffle_runs):
     per_round = {}
     for r in (1, 2, 3, 4):
-        hits = [epochs_to_threshold(log, r, 0.9) for log in reshuffle_logs]
+        hits = [epochs[r] for epochs, _ in reshuffle_runs]
         assert all(h is not None for h in hits), f"round {r} never hit 0.9: {hits}"
         per_round[r] = statistics.median(hits)
     ok = (per_round[2] < per_round[1]
@@ -105,11 +111,11 @@ def test_criterion_3_reshuffle_speedup(reshuffle_logs):
            f"median epochs to 0.9 per round: {per_round}")
 
 
-def test_criterion_4_chance_reset(reshuffle_logs):
+def test_criterion_4_chance_reset(reshuffle_runs):
     chance = 1.0 / MEMO_CLASSES
     bound = 3 * np.sqrt(chance * (1 - chance) / MEMO_N)
-    worst = max(abs(log.round_start_accuracy[r] - chance)
-                for log in reshuffle_logs for r in (1, 2, 3, 4))
+    worst = max(abs(start[r] - chance)
+                for _, start in reshuffle_runs for r in (1, 2, 3, 4))
     report(4, "chance reset", worst <= bound,
            f"max |start - {chance}| = {worst:.4f}, bound {bound:.4f}")
 

@@ -89,6 +89,17 @@ def test_errors_name_their_position(arch, shape, error, prefix):
         build_network(arch, shape, 2)
 
 
+# per-sample element counts of 2**64 and just above 2**63: a wrapping product
+# would size the head 0 or negative wide; the exact one is refused by numpy
+# before anything is allocated
+@pytest.mark.parametrize("descriptor", ["in:4294967296x4294967296 flatten head:2",
+                                        "in:3037000500x3037000500 flatten head:2"])
+def test_widths_are_exact_element_counts(descriptor):
+    with pytest.raises(ValueError, match="^head: ") as caught:
+        network_from_descriptor(descriptor)
+    assert "in_features must be positive" not in str(caught.value)
+
+
 @pytest.mark.parametrize("token, shape, canonical", [
     ("dense:7", (3,), "dense:7"),
     ("dense:08", (3,), "dense:8"),

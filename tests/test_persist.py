@@ -155,7 +155,11 @@ class TestCheckpointFormat:
         ("in:2x2 dense:3 head:2", "layer 0 (dense:3): needs flat input, got (2, 2)"),
         # 8 * 10**18 bytes of weights: no address space holds them
         ("in:1000000000 dense:1000000000 head:2", "Unable to allocate"),
-    ], ids=["unknown token", "empty head", "unflattened", "unallocatable"])
+        # widths of 2**64 and just above 2**63, too wide for any numpy array
+        ("in:4294967296x4294967296 flatten head:2", "head: "),
+        ("in:3037000500x3037000500 flatten head:2", "head: "),
+    ], ids=["unknown token", "empty head", "unflattened", "unallocatable",
+            "width 2**64", "width above 2**63"])
     def test_descriptor_must_rebuild_a_network(self, tmp_path, descriptor, message):
         ckpt = small_checkpoint()
         ckpt.descriptor = descriptor

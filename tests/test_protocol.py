@@ -1,6 +1,7 @@
 """Training loop, pretrain/finetune pairing, reshuffle rounds, transfer runs."""
 
 import dataclasses
+import functools
 import multiprocessing
 import os
 import re
@@ -37,6 +38,11 @@ def fresh_net(d, arch=""):
     net = build_network(arch, d.feature_shape, d.num_classes)
     net.initialize(seed=0)
     return net
+
+
+def worker_pid(seed):
+    # a job its module binds under its own name, so _seed_map may fork for it
+    return os.getpid()
 
 
 # Networks for the row slices of evaluate, with the slices of a 256-row batch:
@@ -503,12 +509,13 @@ class TestCompareTransfer:
                 blob_cfg(epochs=3))
         # two workers over three seeds: worker 0 runs seeds 5 and 7
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert protocol._pair_workers(3)[0] == 2
+        assert protocol._seed_workers(protocol._transfer_pair, 3)[0] == 2
         pooled = compare_transfer(*args, seeds=[5, 6, 7])
-        monkeypatch.setattr(protocol, "_pair_workers", lambda pairs: (1, None))
+        monkeypatch.setattr(protocol, "_seed_workers", lambda job, count: (1, None))
         serial = compare_transfer(*args, seeds=[5, 6, 7])
         assert pooled == serial
         assert pooled.seeds == [5, 6, 7]
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_pair_error_keeps_its_type_and_names_the_first_seed(
@@ -525,7 +532,7 @@ class TestCompareTransfer:
         monkeypatch.setattr(protocol, "pretrain_random", diverging)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(workers)), raising=False)
-        assert protocol._pair_workers(3)[0] == workers
+        assert protocol._seed_workers(protocol._transfer_pair, 3)[0] == workers
         d = synth_blobs(40, 3, 6, 0.5, seed=11)
         with pytest.raises(TrainingDivergedError, match=r"^seed 6: non-finite loss"):
             compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
@@ -551,7 +558,7 @@ class TestCompareTransfer:
         monkeypatch.setattr(protocol, "pretrain_random", failing)
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(workers)), raising=False)
-        assert protocol._pair_workers(3)[0] == workers
+        assert protocol._seed_workers(protocol._transfer_pair, 3)[0] == workers
         d = synth_blobs(40, 3, 6, 0.5, seed=11)
         with pytest.raises(raised, match=f"^{re.escape(message)}$") as caught:
             compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
@@ -572,10 +579,37 @@ class TestCompareTransfer:
             compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
                              seeds=[5, 6])
         assert time.monotonic() - start < 60
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_broken_pairing_names_its_seed(self, monkeypatch, workers):
+        real = protocol.finetune
+
+        def finetune(ckpt, target_d, cfg, val_d=None):
+            ckpt, log = real(ckpt, target_d, cfg, val_d=val_d)
+            if cfg.seed == 6:
+                log.absorb_order(np.arange(3))  # an order its baseline never saw
+            return ckpt, log
+
+        monkeypatch.setattr(protocol, "finetune", finetune)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(workers)), raising=False)
+        assert protocol._seed_workers(protocol._transfer_pair, 3)[0] == workers
+        d = synth_blobs(40, 3, 6, 0.5, seed=11)
+        with pytest.raises(RuntimeError, match=r"^seed 6: paired runs consumed "
+                                               r"different data orders"):
+            compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
+                             seeds=[5, 6, 7])
+
+    def test_module_level_job_runs_in_children(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pids = protocol._seed_map(worker_pid, (), [0, 1])
+        assert len(set(pids)) == 2 and os.getpid() not in pids
 
     @pytest.mark.parametrize("case", ["one seed", "one core", "no affinity mask",
                                       "replaced pair", "no thread setter",
-                                      "daemonic caller"])
+                                      "daemonic caller", "nested function", "lambda",
+                                      "wrapped pair", "partial", "callable object"])
     def test_pairs_stay_in_process(self, monkeypatch, case):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: {0} if case == "one core" else {0, 1},
@@ -589,7 +623,21 @@ class TestCompareTransfer:
         if case == "daemonic caller":
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: types.SimpleNamespace(daemon=True))
-        assert protocol._pair_workers(1 if case == "one seed" else 2) == (1, None)
+        pair = job = protocol._transfer_pair
+        if case == "nested function":
+            def job(*args):
+                return pair(*args)
+        if case == "lambda":
+            job = lambda *args: pair(*args)
+        if case == "wrapped pair":  # a closure, as the bench tracer wraps it
+            def job(*args, **kwargs):
+                return pair(*args, **kwargs)
+            job.__wrapped__ = pair
+        if case == "partial":
+            job = functools.partial(pair)
+        if case == "callable object":
+            job = type("Pair", (), {"__call__": staticmethod(pair)})()
+        assert protocol._seed_workers(job, 1 if case == "one seed" else 2) == (1, None)
 
     def test_worker_that_dies_is_an_error(self, monkeypatch):
         monkeypatch.setattr(protocol, "pretrain_random", lambda *a: os._exit(3))
@@ -598,13 +646,14 @@ class TestCompareTransfer:
         with pytest.raises(RuntimeError, match=r"seeds \[0\] exited with code 3"):
             compare_transfer(d, d, "", blob_cfg(epochs=1), blob_cfg(epochs=1),
                              seeds=[0, 1])
+        assert multiprocessing.active_children() == []
 
     def test_replaced_pair_sees_every_call_in_process(self, monkeypatch):
         calls = []
 
         def fake_pair(source_d, t_train, t_val, arch, pre_cfg, ft_cfg, seed):
             calls.append((seed, os.getpid()))
-            return 0.5, 0.25 + seed, f"fp{seed}", f"fp{seed}"
+            return 0.5, 0.25 + seed, (f"fp{seed}", f"fp{seed}")
 
         monkeypatch.setattr(protocol, "_transfer_pair", fake_pair)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -684,7 +733,7 @@ class TestCodedCorpora:
     def test_transfer_peaks_below_the_decoded_source(self, monkeypatch):
         source = synth_images(2000, 10, seed=3)
         target = synth_images(200, 10, seed=4)
-        monkeypatch.setattr(protocol, "_pair_workers", lambda pairs: (1, None))
+        monkeypatch.setattr(protocol, "_seed_workers", lambda job, count: (1, None))
         tracemalloc.start()
         try:
             compare_transfer(source, target, "flatten dense:16 relu",

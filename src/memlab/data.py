@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
                      TruncatedError, require, u64)
-from .prng import Prng, _gaussian_writers, splitmix64
+from .prng import Prng, _gaussian_writers, derive_seed
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -414,13 +414,12 @@ def assign_random_labels(d: Dataset, seed: int,
 def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
     """Fresh independent random labeling for round ``round`` (1-based).
 
-    The label stream is seeded with splitmix64(base_seed XOR round), so
+    The label stream is seeded with derive_seed(base_seed, round), so
     successive rounds are statistically independent and none coincides
     with assign_random_labels(d, base_seed).
     """
     require(locals(), lambda v: v >= 1, ">= 1", "round")
-    derived = splitmix64((int(base_seed) ^ int(round)) & ((1 << 64) - 1))
-    relabeled = assign_random_labels(d, derived)
+    relabeled = assign_random_labels(d, derive_seed(int(base_seed), int(round)))
     return Dataset._stored(relabeled._data, relabeled.labels, relabeled.num_classes,
                            Labeling("reshuffled", seed=int(base_seed), round=int(round)))
 

@@ -1,11 +1,12 @@
 """Network layers: Dense, Conv2d, ReLU, Flatten, MaxPool2d.
 
-Every layer does three things: report its output shape for a given input
-shape (used for construction-time checking), run forward while caching what
-backward needs, and run backward filling parameter gradients and returning
-the gradient with respect to its input (None when the caller passes
-``input_grad=False``, as the network does for its first layer with
-parameters and every layer below it).
+Every layer does three things and keeps no state between calls but its
+parameters: report its output shape for a given input shape (used for
+construction-time checking), run forward, returning ``(y, saved)``, and run
+``backward(dy, saved)`` on what its own forward saved, filling parameter
+gradients and returning the gradient with respect to its input (None when
+the caller passes ``input_grad=False``, as the network does for its first
+layer with parameters and every layer below it).
 
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the
@@ -14,8 +15,8 @@ input; output sizes use floor division.
 Conv-stack activations have the logical shape (N, C, H, W) but are stored
 channels-last: Conv2d returns a transposed view of its (N, H, W, C)
 product, ReLU and MaxPool2d keep their input's memory order in their
-outputs, caches and input gradients, and Flatten is the one gather into
-(C, H, W) order.  Every layer gives the same values for an input in any
+outputs, saved values and input gradients, and Flatten is the one gather
+into (C, H, W) order.  Every layer gives the same values for an input in any
 memory order.
 """
 
@@ -92,9 +93,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
 
 
 class Layer:
-    """Common layer interface; stateless layers only override the math."""
-
-    _cache = None  # what forward keeps for backward, until backward takes it
+    """Common layer interface; layers without parameters only override the math."""
 
     def params(self) -> list[Tensor]:
         return []
@@ -114,20 +113,15 @@ class Layer:
         computes, one entry per K panel of _matmul."""
         return []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, object]:
+        """The output, and what backward needs of this call (``saved``)."""
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Fill parameter grads; return the input gradient, or None when
-        ``input_grad`` is false (nothing upstream needs it)."""
+    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+        """Fill parameter grads from the ``saved`` of this pass's forward;
+        return the input gradient, or None when ``input_grad`` is false
+        (nothing upstream needs it)."""
         raise NotImplementedError
-
-    def _take_cache(self):
-        cache = self._cache
-        if cache is None:
-            raise RuntimeError(f"{self.describe()}: backward called without forward")
-        self._cache = None
-        return cache
 
     def describe(self) -> str:
         return type(self).__name__
@@ -162,14 +156,12 @@ class Dense(Layer):
         bounds = _k_bounds(self.in_features)
         return [self.out_features * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = x
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = _matmul(x, self.w.data)
         y += self.b.data
-        return y
+        return y, x
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        x = self._take_cache()
+    def backward(self, dy: np.ndarray, x, input_grad: bool = True) -> np.ndarray | None:
         _matmul(x.T, dy, out=self.w.grad_buffer())
         np.sum(dy, axis=0, out=self.b.grad_buffer())
         return _matmul(dy, self.w.data.T) if input_grad else None
@@ -182,15 +174,13 @@ class ReLU(Layer):
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return in_shape
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # np.maximum keeps a NaN, so a broken weight surfaces in the loss
         # instead of being zeroed; it returns +0.0 for -0.0 like the old
         # np.where(x > 0, x, 0.0), whose data-dependent branch it avoids
-        self._cache = x > 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        mask = self._take_cache()
+    def backward(self, dy: np.ndarray, mask, input_grad: bool = True) -> np.ndarray | None:
         if not input_grad:
             return None
         # AND with all-ones words where x > 0: dy's exact bits there, +0.0
@@ -212,12 +202,11 @@ class Flatten(Layer):
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (math.prod(in_shape),)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._cache = (x.shape, _axis_order(x))
-        return x.reshape(x.shape[0], -1)
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
+        return x.reshape(x.shape[0], -1), (x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        shape, order = self._take_cache()
+    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+        shape, order = saved
         if not input_grad:
             return None
         dx = dy.reshape(shape).transpose(order)
@@ -278,7 +267,7 @@ class Conv2d(Layer):
         return [oh * ow * self.out_channels * (hi - lo)
                 for lo, hi in zip(bounds, bounds[1:])]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         n, c, h, w = x.shape
         k, s, p = self.kernel, self.stride, self.padding
         oh, ow = self._out_hw(h, w)
@@ -299,7 +288,6 @@ class Conv2d(Layer):
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
         y = _matmul(cols, wmat.T)
-        self._cache = (cols, (n, h, w), (oh, ow))
         # the bias goes on in place over rows of whole pixels, about 64
         # values each: the same element pairs as a row per pixel, without
         # a loop of out_channels per pixel
@@ -309,10 +297,11 @@ class Conv2d(Layer):
         rows = y.reshape(-1, per_row * self.out_channels)
         rows += np.tile(self.b.data, per_row)
         # the (N, H, W, C) product seen as (N, C, H, W): no copy
-        return y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        return (y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2),
+                (cols, (n, h, w), (oh, ow)))
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        cols, (n, h, w), (oh, ow) = self._take_cache()
+    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+        cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
         # a view of a channels-last dy, a copy of any other; of one image,
         # column-major as the view of an (N, C, H, W) dy is, since the
@@ -369,7 +358,7 @@ class MaxPool2d(Layer):
         return [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s))
                 for i in range(k) for j in range(k)]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         # float64, so the maximum's bits can be selected as uint64 words
         x = np.asarray(x, dtype=np.float64)
         views = self._windows(*self._out_hw(*x.shape[2:]))
@@ -389,11 +378,10 @@ class MaxPool2d(Layer):
             keep = np.subtract(0, take, dtype=np.uint64)
             keep &= np.bitwise_xor(bits, v.view(np.uint64), out=v.view(np.uint64))
             bits ^= keep
-        self._cache = (arg, x.shape, _axis_order(x))
-        return best
+        return best, (arg, x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        arg, shape, order = self._take_cache()
+    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+        arg, shape, order = saved
         if not input_grad:
             return None
         dy = np.asarray(dy, dtype=np.float64)

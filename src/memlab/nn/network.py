@@ -41,9 +41,12 @@ class Network:
 
     def __init__(self, arch: str, input_shape: tuple[int, ...], num_classes: int):
         require(locals(), lambda v: v > 0, "positive", "num_classes")
-        self.input_shape = shape = _input_dims(input_shape)
+        shape = _input_dims(input_shape)
         tokens = arch.split()
-        layers, canonical = [], ["in:" + "x".join(str(d) for d in shape)]
+        if len(shape) == 2 and tokens[:1] and tokens[0].partition(":")[0] == "conv":
+            shape = (1, *shape)  # (H, W) samples feed a first conv as one channel
+        self.input_shape = shape
+        layers, canonical = [], ["in:" + "x".join(map(str, shape))]
         # per sample, what evaluate sizes its row slices by: the floats of
         # the widest array a forward makes, and the multiply-adds of each product
         self.sample_floats, self.sample_products = math.prod(shape), []
@@ -66,6 +69,7 @@ class Network:
         *self.layers, self.head = layers
         canonical[-1] = f"head:{self.head.out_features}"
         self.descriptor = " ".join(canonical)
+        self._tape = None  # what each layer's forward saved, for one backward
 
     @property
     def num_classes(self) -> int:
@@ -108,20 +112,23 @@ class Network:
     def forward(self, batch: np.ndarray, *, cache: bool = True) -> np.ndarray:
         """Logits of shape (batch, num_classes).
 
-        Each layer keeps what its backward needs.  With ``cache`` false (a
-        pure read of the net, as evaluate runs it) each layer drops that as
-        it returns, so no im2col rows outlive their Conv2d, and a backward
-        before the next forward raises RuntimeError.
+        The net keeps what each layer's forward saved, for one backward.
+        With ``cache`` false (a pure read of the net, as evaluate runs it)
+        it drops each saved value as its layer returns, so no im2col rows
+        outlive their Conv2d, and a backward before the next forward
+        raises RuntimeError.
         """
-        x = np.asarray(batch, dtype=np.float64)
-        x = self._adapt_input(x)
+        x = self._adapt_input(np.asarray(batch, dtype=np.float64))
+        self._tape, tape = None, []
         for i, layer in enumerate(self.all_layers):
             try:
-                x = layer.forward(x)
+                x, saved = layer.forward(x)
             except ValueError as e:
                 raise ShapeError(f"layer {i} ({layer.describe()}): {e}") from None
-            if not cache:
-                layer._cache = None
+            if cache:
+                tape.append(saved)
+            del saved  # under cache false, gone as its layer returns
+        self._tape = tape if cache else None
         return x
 
     def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
@@ -134,15 +141,18 @@ class Network:
 
         The returned arrays are the parameters' persistent grad buffers,
         not copies: the next backward overwrites them in place, so copy
-        any gradient that must outlive it.  A layer whose forward has not
-        run since its last backward raises RuntimeError.
+        any gradient that must outlive it.  Each training forward allows
+        one backward: a backward before any forward, a second one after
+        one forward, or one after a forward with ``cache`` false raises
+        RuntimeError.
         """
+        tape, self._tape = self._tape, None
+        if tape is None:
+            raise RuntimeError("backward called without forward")
         d = np.asarray(dlogits, dtype=np.float64)
-        layers = self.all_layers
-        for layer in reversed(layers[self._first_params + 1:]):
-            d = layer.backward(d)
-        for layer in reversed(layers[:self._first_params + 1]):
-            d = layer.backward(d, input_grad=False)
+        # popped, each saved value is let go once its layer has used it
+        for i, layer in reversed(list(enumerate(self.all_layers))):
+            d = layer.backward(d, tape.pop(), input_grad=i > self._first_params)
         return [p.grad for p in self.parameters()]
 
     def state_tensors(self) -> list[np.ndarray]:

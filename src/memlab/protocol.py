@@ -30,7 +30,7 @@ from .nn import (
     softmax_cross_entropy,
 )
 from .nn.layers import _GEMM_SMALL
-from .prng import Prng, derive_seed, splitmix64
+from .prng import Prng, derive_seed
 
 SPLITS = ("train", "val")
 
@@ -95,11 +95,18 @@ class MetricsLog:
         self.records.append(rec)
 
     def absorb_order(self, indices: np.ndarray) -> None:
+        if isinstance(self._order_hash, str):
+            raise RuntimeError("this log was unpickled: its data order is final")
         self._order_hash.update(indices.astype(np.int64).tobytes())
 
     @property
     def data_order_fingerprint(self) -> str:
-        return self._order_hash.copy().hexdigest()
+        h = self._order_hash
+        return h if isinstance(h, str) else h.copy().hexdigest()
+
+    def __getstate__(self) -> dict:
+        # a live blake2b does not pickle: a copy keeps its fingerprint only
+        return {**self.__dict__, "_order_hash": self.data_order_fingerprint}
 
     def rounds(self) -> list[int]:
         return sorted({r.round for r in self.records})
@@ -223,8 +230,7 @@ def evaluate(net: Network, d: Dataset,
 
 def shuffle_seed(seed: int, round: int, epoch: int) -> int:
     """Seed for one epoch's minibatch order; distinct per (seed, round, epoch)."""
-    base = derive_seed(int(seed), _ORDER_TAG)
-    return splitmix64((base ^ ((round << 32) + epoch)) & ((1 << 64) - 1))
+    return derive_seed(derive_seed(int(seed), _ORDER_TAG), (round << 32) + epoch)
 
 
 def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
@@ -480,26 +486,28 @@ def _seed_map(job, args: tuple, seeds) -> list:
     runs seeds[w::workers] and sends each result back as it finishes it, so
     seed i's result is the next from worker i % workers.  The objects in
     ``args`` are shared copy-on-write, and only results are pickled.  The
-    first failing seed's error is raised with its type, naming its seed,
-    and the workers still running are terminated; every worker is joined
-    before this returns or raises.
+    first failing seed's error is raised with its type, naming its seed
+    (in process, from the job's own exception), and the workers still
+    running are terminated; every worker is joined before this returns or
+    raises.
     """
     seeds = list(seeds)
     workers, set_threads = _seed_workers(job, len(seeds))
 
     def messages(part):
-        """(True, result) per seed, or (False, (type, message)) to end."""
+        """(True, result) per seed, or (False, exception) to end."""
         for seed in part:
             try:
                 yield True, job(*args, seed)
             except Exception as e:
-                yield False, (type(e), str(e))
+                yield False, e
                 return
 
     def work(conn, part):
         set_threads(1)
-        for message in messages(part):
-            conn.send(message)
+        for ok, value in messages(part):
+            # an exception travels as its type and message: it may not pickle
+            conn.send((ok, value if ok else (type(value), str(value))))
         conn.close()
 
     def receive(i):
@@ -525,8 +533,10 @@ def _seed_map(job, args: tuple, seeds) -> list:
         results = []
         for i, seed in enumerate(seeds):
             ok, value = receive(i) if procs else next(serial)
-            if not ok:
+            if not ok and procs:
                 raise _seed_error(seed, *value)
+            if not ok:
+                raise _seed_error(seed, type(value), str(value)) from value
             results.append(value)
         return results
     except BaseException:  # stop what still runs

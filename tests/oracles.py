@@ -45,13 +45,12 @@ class ReferenceConv2d(Conv2d):
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
         y = _matmul(cols, wmat.T) + self.b.data
-        self._cache = (cols, (n, h, w), (oh, ow))
         return np.ascontiguousarray(
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        )
+        ), (cols, (n, h, w), (oh, ow))
 
-    def backward(self, dy, input_grad=True):
-        cols, (n, h, w), (oh, ow) = self._take_cache()
+    def backward(self, dy, saved, input_grad=True):
+        cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         wmat = self.w.data.reshape(self.out_channels, -1)
@@ -77,11 +76,11 @@ class ReferenceMaxPool2d(MaxPool2d):
         windows = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::s, ::s]
         flat = windows.reshape(n, c, oh, ow, k * k)
         idx = flat.argmax(axis=-1)
-        self._cache = (idx, (n, c, h, w), (oh, ow))
-        return np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
+        return y, (idx, (n, c, h, w), (oh, ow))
 
-    def backward(self, dy, input_grad=True):
-        idx, (n, c, h, w), (oh, ow) = self._take_cache()
+    def backward(self, dy, saved, input_grad=True):
+        idx, (n, c, h, w), (oh, ow) = saved
         k, s = self.kernel, self.stride
         dx = np.zeros((n, c, h, w))
         ni, ci, ri, qi = np.indices((n, c, oh, ow), sparse=False)

@@ -1,0 +1,37 @@
+"""The call shapes bench/tracer.py reads its counts from.
+
+The tracer wraps these functions and reads their positional arguments:
+``args[1]`` of the layer and network methods as the batch array (its
+FLOP counts, Dense roles and sample count), ``args[0].params`` of
+SgdMomentum.step (bytes moved) and ``args[1]`` of save_checkpoint as the
+path (checkpoint bytes).
+"""
+
+import inspect
+
+import pytest
+
+from memlab import Conv2d, Dense, Network, SgdMomentum, Tensor, save_checkpoint
+
+POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+
+
+@pytest.mark.parametrize("fn, second", [
+    (Dense.forward, "x"),
+    (Dense.backward, "dy"),
+    (Conv2d.forward, "x"),
+    (Conv2d.backward, "dy"),
+    (Network.backward, "dlogits"),
+    (save_checkpoint, "path"),
+], ids=["Dense.forward", "Dense.backward", "Conv2d.forward", "Conv2d.backward",
+        "Network.backward", "save_checkpoint"])
+def test_second_positional_argument(fn, second):
+    params = list(inspect.signature(fn).parameters.values())
+    assert [p.name for p in params[1:2]] == [second]
+    assert all(p.kind in POSITIONAL for p in params[:2])
+
+
+def test_optimizer_step_reads_its_params_from_self():
+    assert list(inspect.signature(SgdMomentum.step).parameters) == ["self"]
+    params = [Tensor([1.0, 2.0])]
+    assert SgdMomentum(params, 0.1, 0.9).params is params

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 from test_persist import BAD_CONFIGS, BAD_UTF8, BAD_UTF8_IDS
 
-from memlab import synth_images, write_idx
+from memlab import load_checkpoint, synth_images, write_idx
 from memlab.cli import dispatch
 
 BLOBS_CFG = """\
@@ -79,6 +79,18 @@ def test_pretrain_writes_run_artifacts(tmp_path, capsys):
     for name in ("config.echo", "metrics.csv", "plot.svg", "final.ckpt"):
         assert (out / name).exists(), name
     assert "pretrain: 2 epochs" in capsys.readouterr().out
+
+
+def test_pretrain_runs_a_conv_net_on_image_samples(tmp_path, capsys):
+    # synth_images gives (H, W) samples, read by the first conv as one channel
+    cfg = write_cfg(tmp_path, "data.kind = synth_images\ndata.n = 24\n"
+                              "data.classes = 3\ndata.size = 8\n"
+                              "arch = conv:4,3 relu maxpool:2 flatten\n"
+                              "epochs = 1\nbatch_size = 8\n")
+    out = tmp_path / "conv"
+    assert dispatch(["pretrain", "--config", cfg, "--out", str(out)]) == 0
+    ckpt = load_checkpoint(out / "final.ckpt")
+    assert ckpt.descriptor == "in:1x8x8 conv:4,3,1,0 relu maxpool:2,2 flatten head:3"
 
 
 def test_rerun_from_echo_is_byte_identical(tmp_path, capsys):

@@ -49,8 +49,8 @@ def test_corrupted_backward_is_detected():
 
     head_backward = net.head.backward
 
-    def doubled(dy):
-        out = head_backward(dy)
+    def doubled(dy, saved, input_grad=True):
+        out = head_backward(dy, saved, input_grad)
         net.head.w.grad *= 2.0
         return out
 

@@ -27,13 +27,13 @@ def rand(shape, seed):
 def test_dense_identity_map():
     layer = Dense(2, 2)
     layer.w.data[:] = np.eye(2)
-    out = layer.forward(np.array([[3.0, 5.0]]))
+    out, _ = layer.forward(np.array([[3.0, 5.0]]))
     assert np.array_equal(out, [[3.0, 5.0]])
 
 
 def test_dense_zero_weights_zero_logits():
     layer = Dense(4, 3)
-    out = layer.forward(rand((5, 4), 1))
+    out, _ = layer.forward(rand((5, 4), 1))
     assert np.array_equal(out, np.zeros((5, 3)))
 
 
@@ -41,7 +41,7 @@ def test_dense_forward_matches_matmul():
     layer = Dense(6, 4)
     layer.init_params(Prng(3))
     x = rand((7, 6), 4)
-    assert np.allclose(layer.forward(x), x @ layer.w.data + layer.b.data,
+    assert np.allclose(layer.forward(x)[0], x @ layer.w.data + layer.b.data,
                        rtol=0, atol=0)
 
 
@@ -50,8 +50,7 @@ def test_dense_backward_formulas():
     layer.init_params(Prng(5))
     x = rand((4, 3), 6)
     dy = rand((4, 2), 7)
-    layer.forward(x)
-    dx = layer.backward(dy)
+    dx = layer.backward(dy, layer.forward(x)[1])
     assert np.array_equal(layer.w.grad, x.T @ dy)
     assert np.array_equal(layer.b.grad, dy.sum(axis=0))
     assert np.allclose(dx, dy @ layer.w.data.T)
@@ -66,12 +65,6 @@ def test_dense_output_shape_validation():
         layer.output_shape((3, 1))
 
 
-def test_backward_without_forward_raises():
-    layer = Dense(2, 2)
-    with pytest.raises(RuntimeError):
-        layer.backward(np.zeros((1, 2)))
-
-
 @pytest.mark.parametrize("make,x_shape,y_shape", [
     (lambda: Dense(5, 3), (4, 5), (4, 3)),
     (lambda: Conv2d(2, 3, kernel=2, stride=1, padding=1), (2, 2, 4, 4), (2, 3, 5, 5)),
@@ -80,17 +73,14 @@ def test_backward_overwrites_persistent_grad_buffers(make, x_shape, y_shape):
     layer, fresh = make(), make()
     layer.init_params(Prng(31))
     fresh.init_params(Prng(31))
-    layer.forward(rand(x_shape, 32))
-    layer.backward(rand(y_shape, 33))
+    layer.backward(rand(y_shape, 33), layer.forward(rand(x_shape, 32))[1])
     buffers = (layer.w.grad, layer.b.grad)
     x, dy = rand(x_shape, 34), rand(y_shape, 35)
-    layer.forward(x)
-    layer.backward(dy)
+    layer.backward(dy, layer.forward(x)[1])
     # same arrays, rewritten: the second pass neither reallocates nor
     # accumulates onto the first pass's values
     assert layer.w.grad is buffers[0] and layer.b.grad is buffers[1]
-    fresh.forward(x)
-    fresh.backward(dy)
+    fresh.backward(dy, fresh.forward(x)[1])
     assert layer.w.grad.tobytes() == fresh.w.grad.tobytes()
     assert layer.b.grad.tobytes() == fresh.b.grad.tobytes()
 
@@ -100,8 +90,9 @@ def test_backward_overwrites_persistent_grad_buffers(make, x_shape, y_shape):
 def test_relu_forward_backward():
     layer = ReLU()
     x = np.array([[-1.0, 0.0, 2.0]])
-    assert np.array_equal(layer.forward(x), [[0.0, 0.0, 2.0]])
-    dx = layer.backward(np.array([[5.0, 5.0, 5.0]]))
+    y, mask = layer.forward(x)
+    assert np.array_equal(y, [[0.0, 0.0, 2.0]])
+    dx = layer.backward(np.array([[5.0, 5.0, 5.0]]), mask)
     # gradient passes only where x was strictly positive
     assert np.array_equal(dx, [[0.0, 0.0, 5.0]])
 
@@ -116,21 +107,22 @@ def test_relu_is_bit_identical_to_where_reference(data, shape):
     x = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE_OR_SPECIAL))
     dy = data.draw(hnp.arrays(np.float64, shape, elements=_FINITE_OR_SPECIAL))
     layer = ReLU()
-    assert layer.forward(x).tobytes() == np.where(x > 0, x, 0.0).tobytes()
-    assert layer.backward(dy).tobytes() == np.where(x > 0, dy, 0.0).tobytes()
+    y, mask = layer.forward(x)
+    assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
+    assert layer.backward(dy, mask).tobytes() == np.where(x > 0, dy, 0.0).tobytes()
 
 
 def test_relu_keeps_nan():
-    out = ReLU().forward(np.array([[np.nan, -1.0]]))
+    out, _ = ReLU().forward(np.array([[np.nan, -1.0]]))
     assert np.isnan(out[0, 0]) and out[0, 1] == 0.0
 
 
 def test_flatten_round_trip():
     layer = Flatten()
     x = rand((2, 3, 4, 4), 8)
-    y = layer.forward(x)
+    y, saved = layer.forward(x)
     assert y.shape == (2, 48)
-    dx = layer.backward(y)
+    dx = layer.backward(y, saved)
     assert np.array_equal(dx, x)
     assert layer.output_shape((3, 4, 4)) == (48,)
 
@@ -161,7 +153,7 @@ def test_conv_forward_against_naive(stride, padding):
     layer.init_params(Prng(11))
     x = rand((2, 3, 9, 9), 12)
     want = conv_naive(x, layer.w.data, layer.b.data, stride, padding)
-    got = layer.forward(x)
+    got, _ = layer.forward(x)
     assert got.shape == want.shape
     assert np.allclose(got, want, atol=1e-12)
 
@@ -182,14 +174,14 @@ def test_conv_backward_input_gradient():
     layer.init_params(Prng(21))
     x = rand((1, 1, 3, 3), 22)
     dy = rand((1, 2, 4, 4), 23)
-    layer.forward(x)
-    dx = layer.backward(dy)
+    dx = layer.backward(dy, layer.forward(x)[1])
     eps = 1e-6
     for pos in np.ndindex(x.shape):
         xp, xm = x.copy(), x.copy()
         xp[pos] += eps
         xm[pos] -= eps
-        num = ((layer.forward(xp) * dy).sum() - (layer.forward(xm) * dy).sum()) / (2 * eps)
+        num = ((layer.forward(xp)[0] * dy).sum()
+               - (layer.forward(xm)[0] * dy).sum()) / (2 * eps)
         assert abs(dx[pos] - num) < 1e-6
 
 
@@ -218,7 +210,7 @@ def pool_naive(x, k, s):
 def test_maxpool_forward_against_naive(k, s):
     layer = MaxPool2d(k, s)
     x = rand((2, 3, 7, 7), 31)
-    assert np.allclose(layer.forward(x), pool_naive(x, k, s), atol=0)
+    assert np.allclose(layer.forward(x)[0], pool_naive(x, k, s), atol=0)
 
 
 def test_maxpool_default_stride_equals_kernel():
@@ -230,16 +222,14 @@ def test_maxpool_default_stride_equals_kernel():
 def test_maxpool_backward_routes_to_argmax():
     layer = MaxPool2d(2, 2)
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    layer.forward(x)
-    dx = layer.backward(np.array([[[[10.0]]]]))
+    dx = layer.backward(np.array([[[[10.0]]]]), layer.forward(x)[1])
     assert np.array_equal(dx, [[[[0.0, 0.0], [0.0, 10.0]]]])
 
 
 def test_maxpool_tie_goes_to_first():
     layer = MaxPool2d(2, 2)
     x = np.ones((1, 1, 2, 2))
-    layer.forward(x)
-    dx = layer.backward(np.array([[[[7.0]]]]))
+    dx = layer.backward(np.array([[[[7.0]]]]), layer.forward(x)[1])
     # all four tie; the first window position wins
     assert np.array_equal(dx, [[[[7.0, 0.0], [0.0, 0.0]]]])
 
@@ -249,8 +239,7 @@ def test_maxpool_overlapping_windows_accumulate():
     x = np.array([[[[0.0, 0.0, 0.0],
                     [0.0, 9.0, 0.0],
                     [0.0, 0.0, 0.0]]]])
-    layer.forward(x)
-    dx = layer.backward(np.ones((1, 1, 2, 2)))
+    dx = layer.backward(np.ones((1, 1, 2, 2)), layer.forward(x)[1])
     # the center pixel is the max of all four windows
     assert dx[0, 0, 1, 1] == 4.0
 
@@ -279,10 +268,10 @@ def _twin(layer, ref):
 def _check_pool(x, k, s, dy_of):
     layer, ref = MaxPool2d(k, s), ReferenceMaxPool2d(k, s)
     with np.errstate(invalid="ignore"):
-        y = layer.forward(x)
-        assert y.tobytes() == ref.forward(x).tobytes()
+        (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
+        assert y.tobytes() == y_ref.tobytes()
         dy = dy_of(y.shape)
-        assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+        assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -314,10 +303,10 @@ def test_conv_is_bit_identical_to_im2col_reference(data, k, s, p):
     shape = (data.draw(st.integers(1, 3)), cin, data.draw(side), data.draw(side))
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
     layer, ref = _twin(Conv2d(cin, cout, k, s, p), ReferenceConv2d(cin, cout, k, s, p))
-    y = layer.forward(x)
-    assert y.tobytes() == ref.forward(x).tobytes()
+    (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
+    assert y.tobytes() == y_ref.tobytes()
     dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e6, 1e6)))
-    assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+    assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
     assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
     assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
 
@@ -328,10 +317,10 @@ def test_conv_matches_reference_where_dw_sums_k_panels(cout):
     # 3 * 13 * 13 = 507 output positions, which _matmul sums in two panels
     x = np.full((3, 1, 9, 9), 0.1)
     layer, ref = _twin(Conv2d(1, cout, 1, 1, 2), ReferenceConv2d(1, cout, 1, 1, 2))
-    y = layer.forward(x)
-    assert y.tobytes() == ref.forward(x).tobytes()
+    (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
+    assert y.tobytes() == y_ref.tobytes()
     dy = np.full(y.shape, 0.1)
-    assert layer.backward(dy).tobytes() == ref.backward(dy).tobytes()
+    assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
     assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
     assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
 
@@ -343,11 +332,10 @@ def test_conv_without_input_grad_keeps_param_grads(data, k, s, p):
     shape = (data.draw(st.integers(1, 3)), 2, data.draw(side), data.draw(side))
     x = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)))
     full, lean = _twin(Conv2d(2, 3, k, s, p), Conv2d(2, 3, k, s, p))
-    y = full.forward(x)
-    lean.forward(x)
+    y, saved = full.forward(x)
     dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e3, 1e3)))
-    assert full.backward(dy) is not None
-    assert lean.backward(dy, input_grad=False) is None
+    assert full.backward(dy, saved) is not None
+    assert lean.backward(dy, lean.forward(x)[1], input_grad=False) is None
     assert lean.w.grad.tobytes() == full.w.grad.tobytes()
     assert lean.b.grad.tobytes() == full.b.grad.tobytes()
 
@@ -388,12 +376,12 @@ def test_layers_give_the_same_bits_for_channels_last_input(data, case):
         a.init_params(Prng(41))
     x = data.draw(hnp.arrays(np.float64, shape, elements=values))
     with np.errstate(invalid="ignore"):
-        y, y_last = layer.forward(x), twin.forward(_channels_last(x))
+        (y, saved), (y_last, saved_last) = layer.forward(x), twin.forward(_channels_last(x))
         assert y_last.tobytes() == y.tobytes()
         dy = data.draw(hnp.arrays(np.float64, y.shape, elements=values))
         # dy as the layer above hands it back: in the order of the output
         dy_last = _channels_last(dy) if dy.ndim == 4 else dy
-        dx, dx_last = layer.backward(dy), twin.backward(dy_last)
+        dx, dx_last = layer.backward(dy, saved), twin.backward(dy_last, saved_last)
     assert dx_last.tobytes() == dx.tobytes()
     for p, q in zip(layer.params(), twin.params()):
         assert q.grad.tobytes() == p.grad.tobytes()
@@ -415,16 +403,12 @@ def test_backward_without_input_grad(make, x_shape):
     full, lean = make(), make()
     for layer in (full, lean):
         layer.init_params(Prng(51))
-        y = layer.forward(rand(x_shape, 52))
+    y, saved = full.forward(rand(x_shape, 52))
     dy = rand(y.shape, 53)
-    full.backward(dy)
-    assert lean.backward(dy, input_grad=False) is None
+    assert full.backward(dy, saved) is not None
+    assert lean.backward(dy, lean.forward(rand(x_shape, 52))[1], input_grad=False) is None
     for a, b in zip(full.params(), lean.params()):
         assert a.grad.tobytes() == b.grad.tobytes()
-    # the forward cache is spent either way
-    with pytest.raises(RuntimeError):
-        lean.backward(dy, input_grad=False)
-
 
 
 # ---------------------------------------------------------------- products

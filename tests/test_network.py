@@ -208,11 +208,50 @@ def test_input_reshaping():
         net.forward(rand((3, 35), 3001))
 
 
+def test_conv_reads_image_samples_as_one_channel():
+    net = build_network("conv:8,3 relu maxpool:2 flatten", (28, 28), 10)
+    assert net.input_shape == (1, 28, 28)
+    assert net.descriptor == "in:1x28x28 conv:8,3,1,0 relu maxpool:2,2 flatten head:10"
+    assert network_from_descriptor(net.descriptor).descriptor == net.descriptor
+    channel = build_network("conv:8,3 relu maxpool:2 flatten", (1, 28, 28), 10)
+    for a in (net, channel):
+        a.initialize(seed=3)
+    x = rand((5, 28, 28), 3100)
+    assert net.forward(x).tobytes() == channel.forward(x.reshape(5, 1, 28, 28)).tobytes()
+    # an MLP keeps its (H, W) descriptor, which pinned checkpoints hold
+    assert build_network("flatten dense:4", (28, 28), 10).descriptor == \
+        "in:28x28 flatten dense:4 head:10"
+
+
 def test_backward_before_forward():
     net = build_network("flatten dense:4", (3,), 2)
     net.initialize(seed=0)
     with pytest.raises(RuntimeError):
         net.backward(np.zeros((1, 2)))
+
+
+@pytest.mark.parametrize("arch,shape", [
+    ("flatten dense:4 relu", (3,)),
+    ("conv:2,3 relu maxpool:2 flatten", (1, 6, 6)),
+], ids=["mlp", "conv"])
+def test_each_training_forward_allows_one_backward(arch, shape):
+    net = build_network(arch, shape, 2)
+    net.initialize(seed=0)
+    batch, dlogits = rand((4,) + shape, 4100), rand((4, 2), 4101)
+    none = "backward called without forward"
+    with pytest.raises(RuntimeError, match=none):  # before any forward
+        net.backward(dlogits)
+    net.forward(batch)
+    grads = [g.copy() for g in net.backward(dlogits)]
+    with pytest.raises(RuntimeError, match=none):  # a second time after one forward
+        net.backward(dlogits)
+    net.forward(batch)
+    net.forward(batch, cache=False)
+    with pytest.raises(RuntimeError, match=none):  # after a forward that keeps nothing
+        net.backward(dlogits)
+    net.forward(batch)
+    for a, g in zip(grads, net.backward(dlogits)):
+        assert a.tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("arch,shape,spared", [
@@ -226,9 +265,9 @@ def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
     net.initialize(seed=4)
     asked = []
     for layer in net.all_layers:
-        def spy(dy, input_grad=True, _inner=layer.backward):
+        def spy(dy, saved, input_grad=True, _inner=layer.backward):
             asked.append(input_grad)
-            return _inner(dy, input_grad=input_grad)
+            return _inner(dy, saved, input_grad=input_grad)
         layer.backward = spy
     batch = rand((4,) + shape, 4000)
     net.forward(batch)
@@ -239,10 +278,13 @@ def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
     # the parameter gradients are those of a plain full backward
     ref = build_network(arch, shape, 3)
     ref.initialize(seed=4)
-    ref.forward(batch)
-    d = ref.head.backward(rand((4, 3), 4001))
-    for layer in reversed(ref.layers):
-        d = layer.backward(d)
+    x, tape = ref._adapt_input(batch), []
+    for layer in ref.all_layers:
+        x, saved = layer.forward(x)
+        tape.append(saved)
+    d = rand((4, 3), 4001)
+    for layer, saved in zip(reversed(ref.all_layers), reversed(tape)):
+        d = layer.backward(d, saved)
     for a, p in zip(grads, ref.parameters()):
         assert a.tobytes() == p.grad.tobytes()
 

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -43,6 +44,13 @@ def fresh_net(d, arch=""):
 def worker_pid(seed):
     # a job its module binds under its own name, so _seed_map may fork for it
     return os.getpid()
+
+
+def reshuffle_log(d, seed):
+    # a module-level job that returns its log, as a forked worker pickles it
+    cfg = blob_cfg(epochs=1, seed=seed)
+    return reshuffle_experiment(d, "flatten dense:8 relu", cfg, rounds=2,
+                                epochs_per_round=1, base_seed=seed)[1]
 
 
 # Networks for the row slices of evaluate, with the slices of a 256-row batch:
@@ -144,7 +152,7 @@ class TestEvaluate:
         # 64-row slice peaks at its rows plus their product, about 7 MiB
         net, d = _sliced_case("conv", 256)
         evaluate(net, d)
-        assert all(layer._cache is None for layer in net.all_layers)
+        assert net._tape is None
         tracemalloc.start()
         try:
             evaluate(net, d)
@@ -324,6 +332,20 @@ class TestMetricsLog:
         assert a.data_order_fingerprint == b.data_order_fingerprint
         assert a.data_order_fingerprint != c.data_order_fingerprint
 
+    def test_pickles_as_a_finished_log(self):
+        log = reshuffle_log(synth_blobs(40, 3, 6, 0.5, seed=2), 3)
+        copy = pickle.loads(pickle.dumps(log))
+        assert copy.records == log.records and copy.records
+        assert copy.round_labelings == log.round_labelings
+        assert copy.round_start_accuracy == log.round_start_accuracy
+        assert copy.config_fingerprint == log.config_fingerprint
+        assert copy.data_order_fingerprint == log.data_order_fingerprint
+        with pytest.raises(RuntimeError, match="data order is final"):
+            copy.absorb_order(np.arange(3))
+        # the original still takes orders
+        log.absorb_order(np.arange(3))
+        assert log.data_order_fingerprint != copy.data_order_fingerprint
+
 
 def test_run_fingerprint_is_pinned():
     # the fingerprint goes into the provenance of every checkpoint: a
@@ -368,6 +390,13 @@ class TestShuffleSeed:
 
     def test_depends_on_run_seed(self):
         assert shuffle_seed(1, 1, 1) != shuffle_seed(2, 1, 1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_is_the_spelled_out_child_seed(self, seed):
+        # the formula the pinned data-order fingerprints were made with
+        base = memlab.derive_seed(seed, protocol._ORDER_TAG)
+        for r, e in [(1, 1), (3, 50), (2**31 + 1, 2**32 - 1), (2**33, 7)]:
+            assert shuffle_seed(seed, r, e) == splitmix64((base ^ ((r << 32) + e)) % 2**64)
 
 
 class TestPretrainFinetune:
@@ -605,6 +634,26 @@ class TestCompareTransfer:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         pids = protocol._seed_map(worker_pid, (), [0, 1])
         assert len(set(pids)) == 2 and os.getpid() not in pids
+
+    def test_forked_workers_send_logs_back(self, monkeypatch):
+        d = synth_blobs(40, 3, 6, 0.5, seed=2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert protocol._seed_workers(reshuffle_log, 2)[0] == 2
+        forked = protocol._seed_map(reshuffle_log, (d,), [0, 1])
+        for seed, log in zip([0, 1], forked):
+            here = reshuffle_log(d, seed)
+            assert log.data_order_fingerprint == here.data_order_fingerprint
+            assert log.records == here.records
+        assert multiprocessing.active_children() == []
+
+    def test_error_in_process_is_raised_from_the_jobs_own(self):
+        def job(seed):
+            raise ConfigError("bad", line=4)
+
+        with pytest.raises(ConfigError, match=r"^seed 0: line 4: bad$") as caught:
+            protocol._seed_map(job, (), [0])
+        cause = caught.value.__cause__
+        assert type(cause) is ConfigError and cause.line == 4
 
     @pytest.mark.parametrize("case", ["one seed", "one core", "no affinity mask",
                                       "replaced pair", "no thread setter",

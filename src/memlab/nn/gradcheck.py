@@ -40,7 +40,7 @@ def grad_check(net: Network, batch: np.ndarray, labels: np.ndarray,
         entries = np.sort(Prng(seed).permutation(total)[:max_entries])
 
     def loss_now() -> float:
-        out = net.forward(batch)
+        out = net.forward(batch, cache=False)
         value, _ = softmax_cross_entropy(out, labels)
         return value
 

@@ -70,6 +70,7 @@ class Network:
         canonical[-1] = f"head:{self.head.out_features}"
         self.descriptor = " ".join(canonical)
         self._tape = None  # what each layer's forward saved, for one backward
+        self._workspace = None  # every layer's grads under backward's apply
 
     @property
     def num_classes(self) -> int:
@@ -131,7 +132,7 @@ class Network:
         self._tape = tape if cache else None
         return x
 
-    def backward(self, dlogits: np.ndarray) -> list[np.ndarray]:
+    def backward(self, dlogits: np.ndarray, apply=None) -> list[np.ndarray] | None:
         """Fill every parameter's grad; returns them in network order.
 
         Every layer's backward runs, but the first layer with parameters
@@ -145,6 +146,13 @@ class Network:
         one backward: a backward before any forward, a second one after
         one forward, or one after a forward with ``cache`` false raises
         RuntimeError.
+
+        With ``apply`` (``SgdMomentum._apply``), each layer's gradients
+        are handed to ``apply(layer.params())`` as soon as its backward has
+        made them, and no gradient outlives its layer: the grads are views
+        of one workspace, sized to the layer with the most parameter
+        floats and kept for the network's life, and are set back to None
+        once used (or when the layer raises).  Returns None.
         """
         tape, self._tape = self._tape, None
         if tape is None:
@@ -152,8 +160,26 @@ class Network:
         d = np.asarray(dlogits, dtype=np.float64)
         # popped, each saved value is let go once its layer has used it
         for i, layer in reversed(list(enumerate(self.all_layers))):
-            d = layer.backward(d, tape.pop(), input_grad=i > self._first_params)
-        return [p.grad for p in self.parameters()]
+            params = layer.params() if apply is not None else []
+            try:
+                self._lend_workspace(params)
+                d = layer.backward(d, tape.pop(), input_grad=i > self._first_params)
+                if params:
+                    apply(params)
+            finally:
+                for p in params:
+                    p.grad = None
+        return None if apply is not None else [p.grad for p in self.parameters()]
+
+    def _lend_workspace(self, params: list[Tensor]) -> None:
+        """Point the grads of ``params`` at consecutive views of the workspace."""
+        if params and self._workspace is None:
+            self._workspace = np.empty(max(sum(p.size for p in layer.params())
+                                           for layer in self.all_layers))
+        lo = 0
+        for p in params:
+            p.grad = self._workspace[lo:lo + p.size].reshape(p.shape)
+            lo += p.size
 
     def state_tensors(self) -> list[np.ndarray]:
         """Copies of all parameter arrays in network order."""

@@ -60,6 +60,11 @@ class SgdMomentum:
     zero, one per parameter, in parameter order.  The update runs in place,
     _CHUNK elements at a time; each element gets the same three float64
     operations as the whole-array form, so the result is bit-identical.
+
+    A parameter is updated either by ``_apply``, as soon as its gradient
+    exists (``Network.backward(d, opt._apply)``), or by ``step()`` from its
+    stored ``grad``; ``step()`` ends each step, skipping what ``_apply``
+    already did.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
@@ -71,26 +76,42 @@ class SgdMomentum:
         self.velocity = [np.zeros(p.data.shape) for p in params]
         largest = max((p.size for p in params), default=0)
         self._scratch = np.empty(min(_CHUNK, largest))
+        self._index = {id(p): i for i, p in enumerate(params)}
+        self._done: set[int] = set()  # updated by _apply since the last step
+
+    def _apply(self, params: list[Tensor]) -> None:
+        """Update ``params`` now, from the grads they hold, and mark them
+        done for this step."""
+        for p in params:
+            i = self._index[id(p)]
+            self._update(p, self.velocity[i])
+            self._done.add(i)
 
     def step(self) -> None:
+        """Update every parameter _apply has not, then clear the marks."""
+        done, self._done = self._done, set()
+        for i, (p, v) in enumerate(zip(self.params, self.velocity)):
+            if i not in done:
+                self._update(p, v)
+
+    def _update(self, p: Tensor, v: np.ndarray) -> None:
+        if p.grad is None:
+            raise RuntimeError("optimizer step with missing gradient")
+        if p.grad.shape != v.shape:
+            raise ValueError(
+                f"gradient shape {p.grad.shape} != parameter shape {v.shape}"
+            )
+        if not p.data.flags.c_contiguous:
+            raise ValueError("parameter data must be C-contiguous")
         mu, lr = self.momentum, self.lr
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                raise RuntimeError("optimizer step with missing gradient")
-            if p.grad.shape != v.shape:
-                raise ValueError(
-                    f"gradient shape {p.grad.shape} != parameter shape {v.shape}"
-                )
-            if not p.data.flags.c_contiguous:
-                raise ValueError("parameter data must be C-contiguous")
-            flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
-            flat_g = p.grad.reshape(-1)
-            for lo in range(0, flat_v.size, _CHUNK):
-                hi = lo + _CHUNK
-                vs = flat_v[lo:hi]
-                vs *= mu
-                vs += flat_g[lo:hi]
-                flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
+        flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+        flat_g = p.grad.reshape(-1)
+        for lo in range(0, flat_v.size, _CHUNK):
+            hi = lo + _CHUNK
+            vs = flat_v[lo:hi]
+            vs *= mu
+            vs += flat_g[lo:hi]
+            flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
 
 
 class PlateauScheduler:

@@ -16,7 +16,9 @@ class Tensor:
     Used for trainable parameters; activations flowing through the network
     are plain numpy arrays.  ``grad`` always has the same shape as ``data``
     once backward has run; layers write it in place through grad_buffer, so
-    the same array is reused from one backward pass to the next.
+    the same array is reused from one backward pass to the next (or, under
+    ``Network.backward``'s ``apply``, the view of the network's workspace
+    that it lends for the layer's backward alone).
 
     The constructor copies ``data`` and ``grad``: the optimizer updates
     parameters in place, which must never write through to a caller's array.
@@ -59,9 +61,6 @@ class Tensor:
                 or not (g.flags.c_contiguous and g.flags.writeable)):
             g = self.grad = np.empty(self.data.shape)
         return g
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"

@@ -265,7 +265,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
                 )
             loss_sum += loss * idx.size
             hits += int((predictions(logits) == train_d.labels[idx]).sum())
-            net.backward(dlogits)
+            net.backward(dlogits, opt._apply)
             opt.step()
         train_loss = loss_sum / n
         log.append(EpochRecord(round, epoch, "train", train_loss, hits / n, lr_used))
@@ -274,10 +274,6 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
             log.append(EpochRecord(round, epoch, "val",
                                    val_metrics[0], val_metrics[1], lr_used))
         opt.lr = sched.step(train_loss if cfg.monitor == "train_loss" else val_metrics[1])
-    # release the grad buffers: nothing reads them once the round is over,
-    # and the next round's first backward allocates them again
-    for p in net.parameters():
-        p.zero_grad()
 
 
 def train(net: Network, train_d: Dataset, val_d: Dataset | None,

@@ -42,6 +42,15 @@ def test_strided_conv():
     assert grad_check(net, x, y) < 1e-4
 
 
+def test_leaves_the_net_holding_no_backward_tape():
+    net = build_network("conv:4,3,1,1 relu maxpool:2 flatten dense:10 relu",
+                        (1, 8, 8), 3)
+    net.initialize(seed=4)
+    x, y = batch_for(net, 4, 300)
+    grad_check(net, x, y, max_entries=6)
+    assert net._tape is None
+
+
 def test_corrupted_backward_is_detected():
     net = build_network("flatten dense:5", (4,), 3)
     net.initialize(seed=6)

@@ -1,14 +1,17 @@
 """Network assembly, descriptors, initialization streams, state loading."""
 
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from memlab import Prng, ShapeError, build_network, network_from_descriptor
+from memlab import (Prng, SgdMomentum, ShapeError, build_network, network_from_descriptor,
+                    softmax_cross_entropy)
 from memlab.nn import parse_descriptor
+from test_byte_gate import CONV_ARCH
 
 
 def rand(shape, seed):
@@ -287,6 +290,88 @@ def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
         d = layer.backward(d, saved)
     for a, p in zip(grads, ref.parameters()):
         assert a.tobytes() == p.grad.tobytes()
+
+
+MLP = "flatten dense:512 relu dense:512 relu"
+
+
+def train_steps(arch, shape, batch, momentum, apply, steps=3):
+    """The net and its optimizer after ``steps`` SGD steps, each backward
+    run plain (grads kept, then step) or with the optimizer's apply."""
+    net = build_network(arch, shape, 10)
+    net.initialize(seed=9)
+    opt = SgdMomentum(net.parameters(), 0.05, momentum)
+    for s in range(steps):
+        x = rand((batch,) + shape, 4200 + s)
+        _, dlogits = softmax_cross_entropy(net.forward(x), Prng(4300 + s).fill_below(batch, 10))
+        grads = net.backward(dlogits, opt._apply if apply else None)
+        assert (grads is None) == apply
+        opt.step()
+    return net, opt
+
+
+@pytest.mark.parametrize("arch,shape,batch,momentum", [
+    (MLP, (28, 28), 32, 0.9),
+    (MLP, (28, 28), 400, 0.9),  # K = 400 weight-gradient products sum in panels
+    (CONV_ARCH, (1, 16, 16), 8, 0.9),
+    (MLP, (28, 28), 32, 0.0),
+], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0"])
+def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum):
+    plain, plain_opt = train_steps(arch, shape, batch, momentum, apply=False)
+    fused, fused_opt = train_steps(arch, shape, batch, momentum, apply=True)
+    for a, b in zip(plain.parameters(), fused.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert b.grad is None
+    for a, b in zip(plain_opt.velocity, fused_opt.velocity):
+        assert a.tobytes() == b.tobytes()
+    biggest = max(sum(p.size for p in layer.params()) for layer in fused.all_layers)
+    workspace = fused._workspace
+    assert workspace.shape == (biggest,)
+    fused.forward(rand((batch,) + shape, 4250))
+    fused.backward(rand((batch, 10), 4251), fused_opt._apply)
+    assert fused._workspace is workspace  # kept, not made per step
+
+
+@pytest.mark.parametrize("failing", [0, 2, 4], ids=["first-dense", "hidden-dense", "head"])
+def test_a_failing_layer_leaves_no_grad_in_the_workspace(failing):
+    net, opt = train_steps(MLP, (28, 28), 4, 0.9, apply=True, steps=1)
+    layer = net.all_layers[failing + 1]  # after flatten
+
+    def broken(dy, saved, input_grad=True, _inner=layer.backward):
+        _inner(dy, saved, input_grad=input_grad)
+        raise ArithmeticError("broken layer")
+
+    layer.backward = broken
+    net.forward(rand((4, 28, 28), 4400))
+    with pytest.raises(ArithmeticError, match="broken layer"):
+        net.backward(rand((4, 10), 4401), opt._apply)
+    for p in net.parameters():
+        assert p.grad is None or not np.shares_memory(p.grad, net._workspace)
+
+
+def test_apply_keeps_only_the_largest_layers_gradient_alive():
+    """A short round of the 784-512-512-10 MLP, traced once with every
+    gradient kept to the step and once applied in backward."""
+    peaks = []
+    for apply in (False, True):
+        net = build_network(MLP, (28, 28), 10)
+        net.initialize(seed=9)
+        opt = SgdMomentum(net.parameters(), 0.05, 0.9)
+        batches = [(rand((32, 28, 28), 4500 + s), Prng(4600 + s).fill_below(32, 10))
+                   for s in range(4)]
+        tracemalloc.start()
+        try:
+            for x, y in batches:
+                _, dlogits = softmax_cross_entropy(net.forward(x), y)
+                net.backward(dlogits, opt._apply if apply else None)
+                opt.step()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    grad_bytes = 8 * sum(p.size for p in net.parameters())
+    workspace_bytes = net._workspace.nbytes
+    assert workspace_bytes == 8 * (784 * 512 + 512)
+    assert peaks[0] - peaks[1] >= 0.9 * (grad_bytes - workspace_bytes)
 
 
 def test_init_streams_ignore_head_width():

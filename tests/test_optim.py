@@ -62,6 +62,20 @@ def test_step_requires_gradients():
         opt.step()
 
 
+def test_step_skips_what_apply_updated_then_clears_the_marks():
+    a, b = param(1.0), param(1.0)
+    opt = SgdMomentum([a, b], lr=0.1, momentum=0.0)
+    a.grad, b.grad = np.array([2.0]), np.array([4.0])
+    opt._apply([b])
+    assert b.data[0] == pytest.approx(0.6)
+    b.grad = None  # as Network.backward leaves an applied parameter
+    opt.step()
+    assert a.data[0] == pytest.approx(0.8)
+    assert b.data[0] == pytest.approx(0.6)
+    with pytest.raises(RuntimeError, match="optimizer step with missing gradient"):
+        opt.step()
+
+
 def reference_step(params, velocity, lr, momentum):
     """The whole-array update the chunked step must reproduce bit for bit."""
     for p, v in zip(params, velocity):

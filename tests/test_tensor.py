@@ -31,12 +31,6 @@ def test_grad_shape_must_match():
         Tensor(np.zeros((2, 3)), grad=np.zeros((3, 2)))
 
 
-def test_zero_grad():
-    t = Tensor(np.ones(4), grad=np.ones(4))
-    t.zero_grad()
-    assert t.grad is None
-
-
 def test_bias_init_is_exact_zero():
     t = he_init((16,), fan_in=50, rng=Prng(0))
     assert np.array_equal(t.data, np.zeros(16))

@@ -27,9 +27,8 @@ def grad_check(net: Network, batch: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels)
     logits = net.forward(batch)
     _, dlogits = softmax_cross_entropy(logits, labels)
-    net.backward(dlogits)
     params = net.parameters()
-    analytic = [p.grad.copy() for p in params]
+    analytic = _gradients(net, dlogits)
 
     sizes = [p.size for p in params]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -60,3 +59,11 @@ def grad_check(net: Network, batch: np.ndarray, labels: np.ndarray,
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+def _gradients(net: Network, dlogits: np.ndarray) -> list[np.ndarray]:
+    """Copies of the gradients ``net.backward(dlogits, apply)`` lends, in
+    network order."""
+    lent = []  # a list per layer, lent from the head down
+    net.backward(dlogits, lambda params, grads: lent.insert(0, [g.copy() for g in grads]))
+    return [g for layer in lent for g in layer]

@@ -3,10 +3,10 @@
 Every layer does three things and keeps no state between calls but its
 parameters: report its output shape for a given input shape (used for
 construction-time checking), run forward, returning ``(y, saved)``, and run
-``backward(dy, saved)`` on what its own forward saved, filling parameter
-gradients and returning the gradient with respect to its input (None when
-the caller passes ``input_grad=False``, as the network does for its first
-layer with parameters and every layer below it).
+``backward(dy, saved, grads)`` on what its own forward saved, writing its
+parameter gradients into ``grads`` and returning the gradient with respect
+to its input (None when the caller passes ``input_grad=False``, as the
+network does for its first layer with parameters and every layer below it).
 
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the
@@ -85,6 +85,8 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     [584:784].  Each panel is thread-independent, and the sum equals the
     plain product wherever OpenBLAS threads it.
     """
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     bounds = _k_bounds(a.shape[1])
     y = np.matmul(a[:, :bounds[1]], b[:bounds[1]], out=out)
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -117,10 +119,12 @@ class Layer:
         """The output, and what backward needs of this call (``saved``)."""
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
-        """Fill parameter grads from the ``saved`` of this pass's forward;
-        return the input gradient, or None when ``input_grad`` is false
-        (nothing upstream needs it)."""
+    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
+        """Write the parameter gradients into ``grads``, C-contiguous
+        float64 arrays shaped like ``params()`` in its order, from the
+        ``saved`` of this pass's forward; return the input gradient, or
+        None when ``input_grad`` is false (nothing upstream needs it)."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -161,9 +165,11 @@ class Dense(Layer):
         y += self.b.data
         return y, x
 
-    def backward(self, dy: np.ndarray, x, input_grad: bool = True) -> np.ndarray | None:
-        _matmul(x.T, dy, out=self.w.grad_buffer())
-        np.sum(dy, axis=0, out=self.b.grad_buffer())
+    def backward(self, dy: np.ndarray, x, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
+        dw, db = grads
+        _matmul(x.T, dy, out=dw)
+        np.sum(dy, axis=0, out=db)
         return _matmul(dy, self.w.data.T) if input_grad else None
 
     def describe(self) -> str:
@@ -180,7 +186,8 @@ class ReLU(Layer):
         # np.where(x > 0, x, 0.0), whose data-dependent branch it avoids
         return np.maximum(x, 0.0), x > 0
 
-    def backward(self, dy: np.ndarray, mask, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, mask, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
         if not input_grad:
             return None
         # AND with all-ones words where x > 0: dy's exact bits there, +0.0
@@ -205,7 +212,8 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         return x.reshape(x.shape[0], -1), (x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
         shape, order = saved
         if not input_grad:
             return None
@@ -300,7 +308,8 @@ class Conv2d(Layer):
         return (y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2),
                 (cols, (n, h, w), (oh, ow)))
 
-    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
         # a view of a channels-last dy, a copy of any other; of one image,
@@ -309,8 +318,9 @@ class Conv2d(Layer):
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         if n == 1:
             dyc = np.asfortranarray(dyc)
-        _matmul(dyc.T, cols, out=self.w.grad_buffer().reshape(self.out_channels, -1))
-        np.sum(dyc, axis=0, out=self.b.grad_buffer())
+        dw, db = grads
+        _matmul(dyc.T, cols, out=dw.reshape(self.out_channels, -1))
+        np.sum(dyc, axis=0, out=db)
         if not input_grad:
             return None
         wmat = self.w.data.reshape(self.out_channels, -1)
@@ -380,7 +390,8 @@ class MaxPool2d(Layer):
             bits ^= keep
         return best, (arg, x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, saved, input_grad: bool = True) -> np.ndarray | None:
+    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+                 input_grad: bool = True) -> np.ndarray | None:
         arg, shape, order = saved
         if not input_grad:
             return None

@@ -69,8 +69,8 @@ class Network:
         *self.layers, self.head = layers
         canonical[-1] = f"head:{self.head.out_features}"
         self.descriptor = " ".join(canonical)
-        self._tape = None  # what each layer's forward saved, for one backward
-        self._workspace = None  # every layer's grads under backward's apply
+        self._tape = None  # (rows, what each layer's forward saved), for one backward
+        self._workspace = None  # every layer's grads, lent by backward
 
     @property
     def num_classes(self) -> int:
@@ -129,57 +129,53 @@ class Network:
             if cache:
                 tape.append(saved)
             del saved  # under cache false, gone as its layer returns
-        self._tape = tape if cache else None
+        self._tape = (len(x), tape) if cache else None
         return x
 
-    def backward(self, dlogits: np.ndarray, apply=None) -> list[np.ndarray] | None:
-        """Fill every parameter's grad; returns them in network order.
+    def backward(self, dlogits: np.ndarray, apply) -> None:
+        """Run every layer's backward, from the head down, and hand each
+        layer's parameter gradients to ``apply(layer.params(), grads)``
+        (``SgdMomentum._apply``) as soon as its backward has made them.
 
-        Every layer's backward runs, but the first layer with parameters
-        (the head, when no other has any) and the layers below it are
-        asked for no input gradient and return None: nothing consumes the
-        gradient with respect to the batch or to a parameter-free prefix.
+        The grads are views of one workspace, sized to the layer with the
+        most parameter floats and kept for the network's life, so the next
+        layer's backward rewrites them: ``apply`` copies what it keeps.
+        The first layer with parameters (the head, when no other has any)
+        and the layers below it are asked for no input gradient: nothing
+        consumes the gradient with respect to the batch or to a
+        parameter-free prefix.
 
-        The returned arrays are the parameters' persistent grad buffers,
-        not copies: the next backward overwrites them in place, so copy
-        any gradient that must outlive it.  Each training forward allows
-        one backward: a backward before any forward, a second one after
-        one forward, or one after a forward with ``cache`` false raises
-        RuntimeError.
-
-        With ``apply`` (``SgdMomentum._apply``), each layer's gradients
-        are handed to ``apply(layer.params())`` as soon as its backward has
-        made them, and no gradient outlives its layer: the grads are views
-        of one workspace, sized to the layer with the most parameter
-        floats and kept for the network's life, and are set back to None
-        once used (or when the layer raises).  Returns None.
+        Each training forward allows one backward: a backward before any
+        forward, a second one after one forward, or one after a forward
+        with ``cache`` false raises RuntimeError.  A ``dlogits`` that is not
+        (rows of that forward, num_classes) raises ShapeError before any
+        layer runs, and leaves that forward's backward to a later call.
         """
-        tape, self._tape = self._tape, None
-        if tape is None:
+        if self._tape is None:
             raise RuntimeError("backward called without forward")
+        rows, tape = self._tape
         d = np.asarray(dlogits, dtype=np.float64)
+        if d.shape != (rows, self.num_classes):
+            raise ShapeError(f"dlogits shape {d.shape}, the forward needs "
+                             f"{(rows, self.num_classes)}")
+        self._tape = None
         # popped, each saved value is let go once its layer has used it
         for i, layer in reversed(list(enumerate(self.all_layers))):
-            params = layer.params() if apply is not None else []
-            try:
-                self._lend_workspace(params)
-                d = layer.backward(d, tape.pop(), input_grad=i > self._first_params)
-                if params:
-                    apply(params)
-            finally:
-                for p in params:
-                    p.grad = None
-        return None if apply is not None else [p.grad for p in self.parameters()]
+            params = layer.params()
+            grads = self._lend(params)
+            d = layer.backward(d, tape.pop(), grads, input_grad=i > self._first_params)
+            apply(params, grads)
 
-    def _lend_workspace(self, params: list[Tensor]) -> None:
-        """Point the grads of ``params`` at consecutive views of the workspace."""
-        if params and self._workspace is None:
+    def _lend(self, params: list[Tensor]) -> list[np.ndarray]:
+        """Consecutive views of the workspace, shaped like ``params``."""
+        if self._workspace is None:
             self._workspace = np.empty(max(sum(p.size for p in layer.params())
                                            for layer in self.all_layers))
-        lo = 0
+        grads, lo = [], 0
         for p in params:
-            p.grad = self._workspace[lo:lo + p.size].reshape(p.shape)
+            grads.append(self._workspace[lo:lo + p.size].reshape(p.shape))
             lo += p.size
+        return grads
 
     def state_tensors(self) -> list[np.ndarray]:
         """Copies of all parameter arrays in network order."""

@@ -61,10 +61,8 @@ class SgdMomentum:
     _CHUNK elements at a time; each element gets the same three float64
     operations as the whole-array form, so the result is bit-identical.
 
-    A parameter is updated either by ``_apply``, as soon as its gradient
-    exists (``Network.backward(d, opt._apply)``), or by ``step()`` from its
-    stored ``grad``; ``step()`` ends each step, skipping what ``_apply``
-    already did.
+    ``_apply(params, grads)`` updates parameters as soon as their gradients
+    exist (``Network.backward(d, opt._apply)``); ``step()`` ends each step.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
@@ -79,39 +77,34 @@ class SgdMomentum:
         self._index = {id(p): i for i, p in enumerate(params)}
         self._done: set[int] = set()  # updated by _apply since the last step
 
-    def _apply(self, params: list[Tensor]) -> None:
-        """Update ``params`` now, from the grads they hold, and mark them
-        done for this step."""
-        for p in params:
+    def _apply(self, params: list[Tensor], grads: list[np.ndarray]) -> None:
+        """Update ``params`` now from ``grads``, arrays of their shapes in
+        the same order, and mark them done for this step."""
+        mu, lr = self.momentum, self.lr
+        for p, g in zip(params, grads, strict=True):
             i = self._index[id(p)]
-            self._update(p, self.velocity[i])
+            v = self.velocity[i]
+            if g.shape != v.shape:
+                raise ValueError(
+                    f"gradient shape {g.shape} != parameter shape {v.shape}"
+                )
+            if not p.data.flags.c_contiguous:
+                raise ValueError("parameter data must be C-contiguous")
+            flat_p, flat_v, flat_g = p.data.reshape(-1), v.reshape(-1), g.reshape(-1)
+            for lo in range(0, flat_v.size, _CHUNK):
+                hi = lo + _CHUNK
+                vs = flat_v[lo:hi]
+                vs *= mu
+                vs += flat_g[lo:hi]
+                flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
             self._done.add(i)
 
     def step(self) -> None:
-        """Update every parameter _apply has not, then clear the marks."""
+        """End the step: clear the marks, and raise RuntimeError unless
+        _apply has updated every parameter since the last step."""
         done, self._done = self._done, set()
-        for i, (p, v) in enumerate(zip(self.params, self.velocity)):
-            if i not in done:
-                self._update(p, v)
-
-    def _update(self, p: Tensor, v: np.ndarray) -> None:
-        if p.grad is None:
+        if len(done) != len(self.params):
             raise RuntimeError("optimizer step with missing gradient")
-        if p.grad.shape != v.shape:
-            raise ValueError(
-                f"gradient shape {p.grad.shape} != parameter shape {v.shape}"
-            )
-        if not p.data.flags.c_contiguous:
-            raise ValueError("parameter data must be C-contiguous")
-        mu, lr = self.momentum, self.lr
-        flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
-        flat_g = p.grad.reshape(-1)
-        for lo in range(0, flat_v.size, _CHUNK):
-            hi = lo + _CHUNK
-            vs = flat_v[lo:hi]
-            vs *= mu
-            vs += flat_g[lo:hi]
-            flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
 
 
 class PlateauScheduler:

@@ -11,30 +11,20 @@ from ..prng import Prng
 
 
 class Tensor:
-    """A dense float64 array with an optional gradient buffer.
+    """A dense float64 array: a trainable parameter.
 
-    Used for trainable parameters; activations flowing through the network
-    are plain numpy arrays.  ``grad`` always has the same shape as ``data``
-    once backward has run; layers write it in place through grad_buffer, so
-    the same array is reused from one backward pass to the next (or, under
-    ``Network.backward``'s ``apply``, the view of the network's workspace
-    that it lends for the layer's backward alone).
+    Activations flowing through the network are plain numpy arrays, and a
+    parameter's gradient is an array that ``Network.backward`` lends for
+    its layer's backward alone: a Tensor holds none.
 
-    The constructor copies ``data`` and ``grad``: the optimizer updates
-    parameters in place, which must never write through to a caller's array.
+    The constructor copies ``data``: the optimizer updates parameters in
+    place, which must never write through to a caller's array.
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data",)
 
-    def __init__(self, data: np.ndarray, grad: np.ndarray | None = None):
+    def __init__(self, data: np.ndarray):
         self.data = np.array(data, dtype=np.float64, order="C")
-        if grad is not None:
-            grad = np.array(grad, dtype=np.float64, order="C")
-            if grad.shape != self.data.shape:
-                raise ValueError(
-                    f"grad shape {grad.shape} != data shape {self.data.shape}"
-                )
-        self.grad = grad
 
     @classmethod
     def _own(cls, data: np.ndarray) -> "Tensor":
@@ -42,7 +32,7 @@ class Tensor:
         no caller holds: the zeros and He draws that memlab itself builds
         (a copy of np.zeros would also touch every page of it)."""
         t = cls.__new__(cls)
-        t.data, t.grad = data, None
+        t.data = data
         return t
 
     @property
@@ -52,15 +42,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def grad_buffer(self) -> np.ndarray:
-        """``grad``, first replaced by a fresh array unless it is already a
-        C-contiguous float64 array of ``data``'s shape that can be written."""
-        g = self.grad
-        if (g is None or g.shape != self.data.shape or g.dtype != np.float64
-                or not (g.flags.c_contiguous and g.flags.writeable)):
-            g = self.grad = np.empty(self.data.shape)
-        return g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape})"

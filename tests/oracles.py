@@ -12,6 +12,12 @@ checks is the layout and the scatter, not the product.  ReferenceMaxPool2d takes
 window view and scatters its gradient with np.add.at.  Both keep the
 parameters and constructor of the layer they shadow, so a test can load the
 same weights into either and compare outputs with .tobytes().
+
+reference_backward and reference_step are the train step written without
+the network's gradient workspace: a plain forward and a full backward into
+fresh per-parameter buffers, then the whole-array momentum update.  The
+workspace path applies each layer's gradient during backward and must
+give the same parameters and velocities bit for bit.
 """
 
 import numpy as np
@@ -49,13 +55,14 @@ class ReferenceConv2d(Conv2d):
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         ), (cols, (n, h, w), (oh, ow))
 
-    def backward(self, dy, saved, input_grad=True):
+    def backward(self, dy, saved, grads, input_grad=True):
         cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        _matmul(dyc.T, cols, out=self.w.grad_buffer().reshape(self.out_channels, -1))
-        np.sum(dyc, axis=0, out=self.b.grad_buffer())
+        dw, db = grads
+        _matmul(dyc.T, cols, out=dw.reshape(self.out_channels, -1))
+        np.sum(dyc, axis=0, out=db)
         dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         for i in range(k):
@@ -79,7 +86,7 @@ class ReferenceMaxPool2d(MaxPool2d):
         y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
         return y, (idx, (n, c, h, w), (oh, ow))
 
-    def backward(self, dy, saved, input_grad=True):
+    def backward(self, dy, saved, grads, input_grad=True):
         idx, (n, c, h, w), (oh, ow) = saved
         k, s = self.kernel, self.stride
         dx = np.zeros((n, c, h, w))
@@ -88,3 +95,27 @@ class ReferenceMaxPool2d(MaxPool2d):
         cols = qi * s + idx % k
         np.add.at(dx, (ni, ci, rows, cols), dy)
         return dx
+
+
+def reference_backward(net, batch, dlogits):
+    """Every parameter gradient of ``net`` at ``batch``, in network order:
+    each layer's forward, then each layer's backward with an input gradient,
+    into buffers made for this call."""
+    x, tape = net._adapt_input(np.asarray(batch, dtype=np.float64)), []
+    for layer in net.all_layers:
+        x, saved = layer.forward(x)
+        tape.append(saved)
+    d, grads = np.asarray(dlogits, dtype=np.float64), []
+    for layer in reversed(net.all_layers):
+        g = [np.empty(p.shape) for p in layer.params()]
+        d = layer.backward(d, tape.pop(), g)
+        grads[:0] = g
+    return grads
+
+
+def reference_step(params, velocity, grads, lr, momentum):
+    """The whole-array momentum update of every parameter."""
+    for p, v, g in zip(params, velocity, grads):
+        v *= momentum
+        v += g
+        p.data -= lr * v

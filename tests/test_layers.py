@@ -2,6 +2,7 @@
 
 import functools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,11 @@ from oracles import ReferenceConv2d, ReferenceMaxPool2d
 
 def rand(shape, seed):
     return Prng(seed).fill_gaussian(int(np.prod(shape))).reshape(shape)
+
+
+def grads_of(layer):
+    """Gradient buffers for ``layer``, as Network.backward lends them."""
+    return [np.empty(p.shape) for p in layer.params()]
 
 
 # ---------------------------------------------------------------- Dense
@@ -50,9 +56,10 @@ def test_dense_backward_formulas():
     layer.init_params(Prng(5))
     x = rand((4, 3), 6)
     dy = rand((4, 2), 7)
-    dx = layer.backward(dy, layer.forward(x)[1])
-    assert np.array_equal(layer.w.grad, x.T @ dy)
-    assert np.array_equal(layer.b.grad, dy.sum(axis=0))
+    dw, db = grads = grads_of(layer)
+    dx = layer.backward(dy, layer.forward(x)[1], grads)
+    assert np.array_equal(dw, x.T @ dy)
+    assert np.array_equal(db, dy.sum(axis=0))
     assert np.allclose(dx, dy @ layer.w.data.T)
 
 
@@ -73,16 +80,16 @@ def test_backward_overwrites_persistent_grad_buffers(make, x_shape, y_shape):
     layer, fresh = make(), make()
     layer.init_params(Prng(31))
     fresh.init_params(Prng(31))
-    layer.backward(rand(y_shape, 33), layer.forward(rand(x_shape, 32))[1])
-    buffers = (layer.w.grad, layer.b.grad)
+    buffers = grads_of(layer)
+    layer.backward(rand(y_shape, 33), layer.forward(rand(x_shape, 32))[1], buffers)
     x, dy = rand(x_shape, 34), rand(y_shape, 35)
-    layer.backward(dy, layer.forward(x)[1])
-    # same arrays, rewritten: the second pass neither reallocates nor
-    # accumulates onto the first pass's values
-    assert layer.w.grad is buffers[0] and layer.b.grad is buffers[1]
-    fresh.backward(dy, fresh.forward(x)[1])
-    assert layer.w.grad.tobytes() == fresh.w.grad.tobytes()
-    assert layer.b.grad.tobytes() == fresh.b.grad.tobytes()
+    layer.backward(dy, layer.forward(x)[1], buffers)
+    # the same arrays, rewritten: the second pass does not accumulate
+    # onto the first pass's values
+    want = grads_of(fresh)
+    fresh.backward(dy, fresh.forward(x)[1], want)
+    for got, ref in zip(buffers, want):
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------- ReLU / Flatten
@@ -92,7 +99,7 @@ def test_relu_forward_backward():
     x = np.array([[-1.0, 0.0, 2.0]])
     y, mask = layer.forward(x)
     assert np.array_equal(y, [[0.0, 0.0, 2.0]])
-    dx = layer.backward(np.array([[5.0, 5.0, 5.0]]), mask)
+    dx = layer.backward(np.array([[5.0, 5.0, 5.0]]), mask, [])
     # gradient passes only where x was strictly positive
     assert np.array_equal(dx, [[0.0, 0.0, 5.0]])
 
@@ -109,7 +116,7 @@ def test_relu_is_bit_identical_to_where_reference(data, shape):
     layer = ReLU()
     y, mask = layer.forward(x)
     assert y.tobytes() == np.where(x > 0, x, 0.0).tobytes()
-    assert layer.backward(dy, mask).tobytes() == np.where(x > 0, dy, 0.0).tobytes()
+    assert layer.backward(dy, mask, []).tobytes() == np.where(x > 0, dy, 0.0).tobytes()
 
 
 def test_relu_keeps_nan():
@@ -122,7 +129,7 @@ def test_flatten_round_trip():
     x = rand((2, 3, 4, 4), 8)
     y, saved = layer.forward(x)
     assert y.shape == (2, 48)
-    dx = layer.backward(y, saved)
+    dx = layer.backward(y, saved, [])
     assert np.array_equal(dx, x)
     assert layer.output_shape((3, 4, 4)) == (48,)
 
@@ -174,7 +181,7 @@ def test_conv_backward_input_gradient():
     layer.init_params(Prng(21))
     x = rand((1, 1, 3, 3), 22)
     dy = rand((1, 2, 4, 4), 23)
-    dx = layer.backward(dy, layer.forward(x)[1])
+    dx = layer.backward(dy, layer.forward(x)[1], grads_of(layer))
     eps = 1e-6
     for pos in np.ndindex(x.shape):
         xp, xm = x.copy(), x.copy()
@@ -222,14 +229,14 @@ def test_maxpool_default_stride_equals_kernel():
 def test_maxpool_backward_routes_to_argmax():
     layer = MaxPool2d(2, 2)
     x = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
-    dx = layer.backward(np.array([[[[10.0]]]]), layer.forward(x)[1])
+    dx = layer.backward(np.array([[[[10.0]]]]), layer.forward(x)[1], [])
     assert np.array_equal(dx, [[[[0.0, 0.0], [0.0, 10.0]]]])
 
 
 def test_maxpool_tie_goes_to_first():
     layer = MaxPool2d(2, 2)
     x = np.ones((1, 1, 2, 2))
-    dx = layer.backward(np.array([[[[7.0]]]]), layer.forward(x)[1])
+    dx = layer.backward(np.array([[[[7.0]]]]), layer.forward(x)[1], [])
     # all four tie; the first window position wins
     assert np.array_equal(dx, [[[[7.0, 0.0], [0.0, 0.0]]]])
 
@@ -239,7 +246,7 @@ def test_maxpool_overlapping_windows_accumulate():
     x = np.array([[[[0.0, 0.0, 0.0],
                     [0.0, 9.0, 0.0],
                     [0.0, 0.0, 0.0]]]])
-    dx = layer.backward(np.ones((1, 1, 2, 2)), layer.forward(x)[1])
+    dx = layer.backward(np.ones((1, 1, 2, 2)), layer.forward(x)[1], [])
     # the center pixel is the max of all four windows
     assert dx[0, 0, 1, 1] == 4.0
 
@@ -271,7 +278,8 @@ def _check_pool(x, k, s, dy_of):
         (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
         assert y.tobytes() == y_ref.tobytes()
         dy = dy_of(y.shape)
-        assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
+        assert (layer.backward(dy, saved, []).tobytes()
+                == ref.backward(dy, saved_ref, []).tobytes())
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,6 +303,14 @@ def test_maxpool_matches_reference_on_dense_specials(k, s):
                     lambda shape: rng.choice(pool, shape))
 
 
+def _check_conv_backward(layer, ref, dy, saved, saved_ref):
+    grads, want = grads_of(layer), grads_of(ref)
+    dx = layer.backward(dy, saved, grads)
+    assert dx.tobytes() == ref.backward(dy, saved_ref, want).tobytes()
+    for got, ref_grad in zip(grads, want):
+        assert got.tobytes() == ref_grad.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), k=st.integers(1, 3), s=st.integers(1, 3), p=st.integers(0, 2))
 def test_conv_is_bit_identical_to_im2col_reference(data, k, s, p):
@@ -306,9 +322,7 @@ def test_conv_is_bit_identical_to_im2col_reference(data, k, s, p):
     (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
     assert y.tobytes() == y_ref.tobytes()
     dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e6, 1e6)))
-    assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
-    assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
-    assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
+    _check_conv_backward(layer, ref, dy, saved, saved_ref)
 
 
 @pytest.mark.parametrize("cout", [1, 2, 3])
@@ -320,9 +334,7 @@ def test_conv_matches_reference_where_dw_sums_k_panels(cout):
     (y, saved), (y_ref, saved_ref) = layer.forward(x), ref.forward(x)
     assert y.tobytes() == y_ref.tobytes()
     dy = np.full(y.shape, 0.1)
-    assert layer.backward(dy, saved).tobytes() == ref.backward(dy, saved_ref).tobytes()
-    assert layer.w.grad.tobytes() == ref.w.grad.tobytes()
-    assert layer.b.grad.tobytes() == ref.b.grad.tobytes()
+    _check_conv_backward(layer, ref, dy, saved, saved_ref)
 
 
 @settings(max_examples=40, deadline=None)
@@ -334,10 +346,7 @@ def test_conv_without_input_grad_keeps_param_grads(data, k, s, p):
     full, lean = _twin(Conv2d(2, 3, k, s, p), Conv2d(2, 3, k, s, p))
     y, saved = full.forward(x)
     dy = data.draw(hnp.arrays(np.float64, y.shape, elements=st.floats(-1e3, 1e3)))
-    assert full.backward(dy, saved) is not None
-    assert lean.backward(dy, lean.forward(x)[1], input_grad=False) is None
-    assert lean.w.grad.tobytes() == full.w.grad.tobytes()
-    assert lean.b.grad.tobytes() == full.b.grad.tobytes()
+    _check_lean_backward(full, lean, dy, saved, lean.forward(x)[1])
 
 
 def _channels_last(x):
@@ -381,10 +390,12 @@ def test_layers_give_the_same_bits_for_channels_last_input(data, case):
         dy = data.draw(hnp.arrays(np.float64, y.shape, elements=values))
         # dy as the layer above hands it back: in the order of the output
         dy_last = _channels_last(dy) if dy.ndim == 4 else dy
-        dx, dx_last = layer.backward(dy, saved), twin.backward(dy_last, saved_last)
+        grads, grads_last = grads_of(layer), grads_of(twin)
+        dx = layer.backward(dy, saved, grads)
+        dx_last = twin.backward(dy_last, saved_last, grads_last)
     assert dx_last.tobytes() == dx.tobytes()
-    for p, q in zip(layer.params(), twin.params()):
-        assert q.grad.tobytes() == p.grad.tobytes()
+    for g, g_last in zip(grads, grads_last):
+        assert g_last.tobytes() == g.tobytes()
     # memory order: Conv2d writes channels-last, ReLU and MaxPool2d keep
     # their input's, and Flatten puts dy back in its input's
     for arrays, last in (((y, dx), isinstance(layer, Conv2d)), ((y_last, dx_last), True)):
@@ -404,11 +415,18 @@ def test_backward_without_input_grad(make, x_shape):
     for layer in (full, lean):
         layer.init_params(Prng(51))
     y, saved = full.forward(rand(x_shape, 52))
-    dy = rand(y.shape, 53)
-    assert full.backward(dy, saved) is not None
-    assert lean.backward(dy, lean.forward(rand(x_shape, 52))[1], input_grad=False) is None
-    for a, b in zip(full.params(), lean.params()):
-        assert a.grad.tobytes() == b.grad.tobytes()
+    _check_lean_backward(full, lean, rand(y.shape, 53), saved,
+                         lean.forward(rand(x_shape, 52))[1])
+
+
+def _check_lean_backward(full, lean, dy, saved, saved_lean):
+    """``lean`` spared its input gradient, with the parameter gradients of
+    ``full`` given one."""
+    grads, lean_grads = grads_of(full), grads_of(lean)
+    assert full.backward(dy, saved, grads) is not None
+    assert lean.backward(dy, saved_lean, lean_grads, input_grad=False) is None
+    for a, b in zip(grads, lean_grads):
+        assert a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------- products
@@ -435,6 +453,18 @@ def test_matmul_is_one_product_where_threads_agree(k):
     # K <= 384 or a multiple of 32: the plain product
     a, b = rand((5, k), 62), rand((k, 3), 63)
     assert _matmul(a, b).tobytes() == (a @ b).tobytes()
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    # once (2, 2), from the first 3 rows of b: so Dense.backward given a
+    # 6-row dy on a 4-row x took dW from 4 rows and db from 6
+    ((2, 3), (7, 2)),
+    ((2, 3), (2, 2)),
+    ((4, 800), (801, 3)),  # summed in K panels
+], ids=["b-longer", "b-shorter", "panels"])
+def test_matmul_refuses_inner_dimensions_that_differ(a_shape, b_shape):
+    with pytest.raises(ValueError, match=re.escape(f"{a_shape} @ {b_shape}")):
+        _matmul(np.ones(a_shape), np.ones(b_shape))
 
 
 # products over the K sweep, Dense's transposed operand, then a small

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from memlab import (Prng, SgdMomentum, ShapeError, build_network, network_from_descriptor,
                     softmax_cross_entropy)
 from memlab.nn import parse_descriptor
+from memlab.nn.gradcheck import _gradients
+from oracles import reference_backward, reference_step
 from test_byte_gate import CONV_ARCH
 
 
@@ -226,11 +228,15 @@ def test_conv_reads_image_samples_as_one_channel():
         "in:28x28 flatten dense:4 head:10"
 
 
+def ignore(params, grads):
+    """An apply that updates nothing."""
+
+
 def test_backward_before_forward():
     net = build_network("flatten dense:4", (3,), 2)
     net.initialize(seed=0)
     with pytest.raises(RuntimeError):
-        net.backward(np.zeros((1, 2)))
+        net.backward(np.zeros((1, 2)), ignore)
 
 
 @pytest.mark.parametrize("arch,shape", [
@@ -243,18 +249,45 @@ def test_each_training_forward_allows_one_backward(arch, shape):
     batch, dlogits = rand((4,) + shape, 4100), rand((4, 2), 4101)
     none = "backward called without forward"
     with pytest.raises(RuntimeError, match=none):  # before any forward
-        net.backward(dlogits)
+        net.backward(dlogits, ignore)
     net.forward(batch)
-    grads = [g.copy() for g in net.backward(dlogits)]
+    grads = _gradients(net, dlogits)
     with pytest.raises(RuntimeError, match=none):  # a second time after one forward
-        net.backward(dlogits)
+        net.backward(dlogits, ignore)
     net.forward(batch)
     net.forward(batch, cache=False)
     with pytest.raises(RuntimeError, match=none):  # after a forward that keeps nothing
-        net.backward(dlogits)
+        net.backward(dlogits, ignore)
     net.forward(batch)
-    for a, g in zip(grads, net.backward(dlogits)):
+    for a, g in zip(grads, _gradients(net, dlogits)):
         assert a.tobytes() == g.tobytes()
+
+
+@pytest.mark.parametrize("arch,shape", [
+    ("flatten dense:4 relu", (3,)),
+    ("", (3,)),
+], ids=["mlp", "head-only"])
+@pytest.mark.parametrize("dshape", [(5, 2), (6, 2), (3, 2), (4, 3), (4,), (4, 2, 1)],
+                         ids=["5-rows", "6-rows", "3-rows", "3-classes", "flat", "3-d"])
+def test_backward_refuses_dlogits_of_another_shape(arch, shape, dshape):
+    # a (5, 2) dlogits once updated the head, then escaped ReLU as a bare
+    # ValueError; on a head-only net a (6, 2) one trained silently
+    net = build_network(arch, shape, 2)
+    net.initialize(seed=0)
+    opt = SgdMomentum(net.parameters(), 0.1, 0.9)
+    batch = rand((4,) + shape, 4700)
+    net.forward(batch)
+    net.backward(rand((4, 2), 4701), opt._apply)
+    opt.step()
+    before = [p.data.tobytes() for p in net.parameters()]
+    velocity = [v.tobytes() for v in opt.velocity]
+    net.forward(batch)
+    with pytest.raises(ShapeError, match=re.escape(f"{dshape}, the forward needs (4, 2)")):
+        net.backward(rand(dshape, 4702), opt._apply)
+    assert [p.data.tobytes() for p in net.parameters()] == before
+    assert [v.tobytes() for v in opt.velocity] == velocity
+    net.backward(rand((4, 2), 4701), opt._apply)  # the forward's backward is still due
+    opt.step()
 
 
 @pytest.mark.parametrize("arch,shape,spared", [
@@ -268,46 +301,44 @@ def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
     net.initialize(seed=4)
     asked = []
     for layer in net.all_layers:
-        def spy(dy, saved, input_grad=True, _inner=layer.backward):
+        def spy(dy, saved, grads, input_grad=True, _inner=layer.backward):
             asked.append(input_grad)
-            return _inner(dy, saved, input_grad=input_grad)
+            return _inner(dy, saved, grads, input_grad=input_grad)
         layer.backward = spy
-    batch = rand((4,) + shape, 4000)
+    batch, dlogits = rand((4,) + shape, 4000), rand((4, 3), 4001)
     net.forward(batch)
-    grads = [g.copy() for g in net.backward(rand((4, 3), 4001))]
+    grads = _gradients(net, dlogits)
     # every layer still runs backward; the first one with parameters and
     # those below it (the last `spared` asked) are spared dx
     assert asked == [True] * (len(net.all_layers) - spared) + [False] * spared
     # the parameter gradients are those of a plain full backward
     ref = build_network(arch, shape, 3)
     ref.initialize(seed=4)
-    x, tape = ref._adapt_input(batch), []
-    for layer in ref.all_layers:
-        x, saved = layer.forward(x)
-        tape.append(saved)
-    d = rand((4, 3), 4001)
-    for layer, saved in zip(reversed(ref.all_layers), reversed(tape)):
-        d = layer.backward(d, saved)
-    for a, p in zip(grads, ref.parameters()):
-        assert a.tobytes() == p.grad.tobytes()
+    for a, b in zip(grads, reference_backward(ref, batch, dlogits)):
+        assert a.tobytes() == b.tobytes()
 
 
 MLP = "flatten dense:512 relu dense:512 relu"
 
 
-def train_steps(arch, shape, batch, momentum, apply, steps=3):
-    """The net and its optimizer after ``steps`` SGD steps, each backward
-    run plain (grads kept, then step) or with the optimizer's apply."""
+def train_steps(arch, shape, batch, momentum, reference, steps=3):
+    """The net and its velocities after ``steps`` SGD steps, each applied
+    in the network's backward or, for ``reference``, by the whole-array
+    update from gradients kept to the end of a backward of their own."""
     net = build_network(arch, shape, 10)
     net.initialize(seed=9)
     opt = SgdMomentum(net.parameters(), 0.05, momentum)
     for s in range(steps):
         x = rand((batch,) + shape, 4200 + s)
-        _, dlogits = softmax_cross_entropy(net.forward(x), Prng(4300 + s).fill_below(batch, 10))
-        grads = net.backward(dlogits, opt._apply if apply else None)
-        assert (grads is None) == apply
-        opt.step()
-    return net, opt
+        logits = net.forward(x, cache=not reference)
+        _, dlogits = softmax_cross_entropy(logits, Prng(4300 + s).fill_below(batch, 10))
+        if reference:
+            grads = reference_backward(net, x, dlogits)
+            reference_step(net.parameters(), opt.velocity, grads, 0.05, momentum)
+        else:
+            net.backward(dlogits, opt._apply)
+            opt.step()
+    return net, opt.velocity
 
 
 @pytest.mark.parametrize("arch,shape,batch,momentum", [
@@ -317,43 +348,25 @@ def train_steps(arch, shape, batch, momentum, apply, steps=3):
     (MLP, (28, 28), 32, 0.0),
 ], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0"])
 def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum):
-    plain, plain_opt = train_steps(arch, shape, batch, momentum, apply=False)
-    fused, fused_opt = train_steps(arch, shape, batch, momentum, apply=True)
+    plain, plain_v = train_steps(arch, shape, batch, momentum, reference=True)
+    fused, fused_v = train_steps(arch, shape, batch, momentum, reference=False)
     for a, b in zip(plain.parameters(), fused.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
-        assert b.grad is None
-    for a, b in zip(plain_opt.velocity, fused_opt.velocity):
+    for a, b in zip(plain_v, fused_v):
         assert a.tobytes() == b.tobytes()
     biggest = max(sum(p.size for p in layer.params()) for layer in fused.all_layers)
     workspace = fused._workspace
     assert workspace.shape == (biggest,)
     fused.forward(rand((batch,) + shape, 4250))
-    fused.backward(rand((batch, 10), 4251), fused_opt._apply)
+    fused.backward(rand((batch, 10), 4251), ignore)
     assert fused._workspace is workspace  # kept, not made per step
-
-
-@pytest.mark.parametrize("failing", [0, 2, 4], ids=["first-dense", "hidden-dense", "head"])
-def test_a_failing_layer_leaves_no_grad_in_the_workspace(failing):
-    net, opt = train_steps(MLP, (28, 28), 4, 0.9, apply=True, steps=1)
-    layer = net.all_layers[failing + 1]  # after flatten
-
-    def broken(dy, saved, input_grad=True, _inner=layer.backward):
-        _inner(dy, saved, input_grad=input_grad)
-        raise ArithmeticError("broken layer")
-
-    layer.backward = broken
-    net.forward(rand((4, 28, 28), 4400))
-    with pytest.raises(ArithmeticError, match="broken layer"):
-        net.backward(rand((4, 10), 4401), opt._apply)
-    for p in net.parameters():
-        assert p.grad is None or not np.shares_memory(p.grad, net._workspace)
 
 
 def test_apply_keeps_only_the_largest_layers_gradient_alive():
     """A short round of the 784-512-512-10 MLP, traced once with every
     gradient kept to the step and once applied in backward."""
     peaks = []
-    for apply in (False, True):
+    for reference in (True, False):
         net = build_network(MLP, (28, 28), 10)
         net.initialize(seed=9)
         opt = SgdMomentum(net.parameters(), 0.05, 0.9)
@@ -362,8 +375,15 @@ def test_apply_keeps_only_the_largest_layers_gradient_alive():
         tracemalloc.start()
         try:
             for x, y in batches:
-                _, dlogits = softmax_cross_entropy(net.forward(x), y)
-                net.backward(dlogits, opt._apply if apply else None)
+                _, dlogits = softmax_cross_entropy(net.forward(x, cache=not reference), y)
+                if reference:
+                    # the optimizer's own chunked update: the reference's
+                    # whole-array one would add a temporary of W1's size
+                    grads = reference_backward(net, x, dlogits)
+                    opt._apply(net.parameters(), grads)
+                    del grads
+                else:
+                    net.backward(dlogits, opt._apply)
                 opt.step()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:

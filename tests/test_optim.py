@@ -7,6 +7,7 @@ from hypothesis import given, settings
 
 from memlab import NonFiniteError, PlateauScheduler, SgdMomentum, Tensor, TrainConfig
 from memlab.nn.optim import _CHUNK
+from oracles import reference_step
 
 
 def param(value):
@@ -15,7 +16,7 @@ def param(value):
 
 
 def step_with_grad(opt, t, g):
-    t.grad = np.array([float(g)])
+    opt._apply([t], [np.array([float(g)])])
     opt.step()
 
 
@@ -56,32 +57,32 @@ def test_momentum_zero_equals_vanilla_exactly():
 
 
 def test_step_requires_gradients():
-    t = param(1.0)
-    opt = SgdMomentum([t], lr=0.1, momentum=0.0)
-    with pytest.raises(RuntimeError):
-        opt.step()
-
-
-def test_step_skips_what_apply_updated_then_clears_the_marks():
     a, b = param(1.0), param(1.0)
     opt = SgdMomentum([a, b], lr=0.1, momentum=0.0)
-    a.grad, b.grad = np.array([2.0]), np.array([4.0])
-    opt._apply([b])
+    missing = "optimizer step with missing gradient"
+    with pytest.raises(RuntimeError, match=missing):
+        opt.step()
+    # _apply updates at once; step only checks that nothing was left out
+    opt._apply([b], [np.array([4.0])])
     assert b.data[0] == pytest.approx(0.6)
-    b.grad = None  # as Network.backward leaves an applied parameter
+    with pytest.raises(RuntimeError, match=missing):
+        opt.step()
+    assert a.data[0] == 1.0
+    opt._apply([a, b], [np.array([2.0]), np.array([4.0])])
     opt.step()
-    assert a.data[0] == pytest.approx(0.8)
-    assert b.data[0] == pytest.approx(0.6)
-    with pytest.raises(RuntimeError, match="optimizer step with missing gradient"):
+    assert a.data[0] == pytest.approx(0.8) and b.data[0] == pytest.approx(0.2)
+    with pytest.raises(RuntimeError, match=missing):  # step cleared the marks
         opt.step()
 
 
-def reference_step(params, velocity, lr, momentum):
-    """The whole-array update the chunked step must reproduce bit for bit."""
-    for p, v in zip(params, velocity):
-        v *= momentum
-        v += p.grad
-        p.data -= lr * v
+def test_apply_takes_one_gradient_of_its_shape_per_parameter():
+    t = param(1.0)
+    opt = SgdMomentum([t], lr=0.1, momentum=0.0)
+    with pytest.raises(ValueError, match="gradient shape"):
+        opt._apply([t], [np.ones(2)])
+    with pytest.raises(ValueError):
+        opt._apply([t], [])
+    assert t.data[0] == 1.0
 
 
 CHUNK_SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
@@ -102,11 +103,10 @@ def test_chunked_step_is_bit_identical_to_reference(size, momentum, lr, seed):
     ref_v = [np.zeros(s) for s in shapes]
     opt = SgdMomentum(ours, lr=lr, momentum=momentum)
     for _ in range(3):
-        for a, b in zip(ours, ref):
-            a.grad = rng.standard_normal(a.shape)
-            b.grad = a.grad.copy()
+        grads = [rng.standard_normal(s) for s in shapes]
+        opt._apply(ours, grads)
         opt.step()
-        reference_step(ref, ref_v, lr, momentum)
+        reference_step(ref, ref_v, grads, lr, momentum)
         for a, b, va, vb in zip(ours, ref, opt.velocity, ref_v):
             assert a.data.tobytes() == b.data.tobytes()
             assert va.tobytes() == vb.tobytes()
@@ -116,9 +116,8 @@ def test_step_rejects_non_contiguous_parameter():
     t = Tensor(np.zeros((4, 4)))
     opt = SgdMomentum([t], lr=0.1, momentum=0.0)
     t.data = np.zeros((4, 4)).T
-    t.grad = np.ones((4, 4))
     with pytest.raises(ValueError):
-        opt.step()
+        opt._apply([t], [np.ones((4, 4))])
 
 
 def test_optimizer_rejects_bad_hyperparams():

@@ -17,18 +17,13 @@ def test_tensor_casts_to_float64():
 def test_tensor_copies_caller_arrays():
     # a C-contiguous float64 input used to be kept as is, so the in-place
     # optimizer step wrote through to the caller's array
-    a, g = np.ones(4), np.ones(4)
-    t = Tensor(a, grad=g)
-    t.grad_buffer()[:] = 5.0
-    SgdMomentum([t], lr=0.5, momentum=0.0).step()
+    a = np.ones(4)
+    t = Tensor(a)
+    opt = SgdMomentum([t], lr=0.5, momentum=0.0)
+    opt._apply([t], [np.full(4, 5.0)])
+    opt.step()
     assert np.array_equal(t.data, np.full(4, -1.5))
     assert np.array_equal(a, np.ones(4))
-    assert np.array_equal(g, np.ones(4))
-
-
-def test_grad_shape_must_match():
-    with pytest.raises(ValueError):
-        Tensor(np.zeros((2, 3)), grad=np.zeros((3, 2)))
 
 
 def test_bias_init_is_exact_zero():

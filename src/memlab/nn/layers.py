@@ -22,6 +22,8 @@ memory order.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 
 import numpy as np
@@ -52,6 +54,66 @@ _GEMM_ALIGN = 32
 # than one row, and both lie on the same side of this bound;
 # tests/test_protocol.py holds evaluate's row slices to that.
 _GEMM_SMALL = 100 ** 3
+# Both bounds also decide where Dense.backward folds the momentum into its
+# weight-gradient product (_fuses): one dgemm with beta = mu writes
+# x'dy + mu*v straight into the optimizer's velocity, and the gradient is
+# never stored.  OpenBLAS scales C by beta, then adds each K panel of the
+# product into it, so the result has the bits of _matmul then
+# ``v *= mu; v += g`` exactly when the product is one panel (K <= _GEMM_Q)
+# run by the blocked kernels (M*N*K > _GEMM_SMALL, and M and N above one,
+# since a one-column product goes to gemv); tests/test_layers.py holds it
+# to that at 1, 2 and 3 threads.  Every other product goes through the
+# network's gradient workspace.
+
+
+def _fuses(m: int, n: int, k: int) -> bool:
+    """Whether the (m, n) weight gradient of a product over k rows can
+    fold in the momentum (_matmul_into) with the bits of the two steps."""
+    return (k <= _GEMM_Q and min(m, n) > 1 and m * n * k > _GEMM_SMALL
+            and _dgemm() is not None)
+
+
+@functools.cache
+def _openblas() -> tuple[ctypes.CDLL, ...]:
+    """The OpenBLAS libraries this process has loaded (numpy's among
+    them), found in /proc/self/maps on first use and kept."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    libs = []
+    for path in paths:
+        try:
+            libs.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    return tuple(libs)
+
+
+def _blas_function(names: tuple[str, ...], argtypes: list, restype=None):
+    """The first of ``names`` that a loaded OpenBLAS exports, with its
+    argument and result types set, or None when none does."""
+    for lib in _openblas():
+        for name in names:
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = argtypes, restype
+                return fn
+    return None
+
+
+@functools.cache
+def _dgemm():
+    """cblas_dgemm of numpy's bundled OpenBLAS, whose integers are all
+    64-bit, or None when it is not loaded."""
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    return _blas_function(("scipy_cblas_dgemm64_",),
+                          [i64] * 6 + [f64, ptr, i64, ptr, i64, f64, ptr, i64])
+
+
+# CBLAS's RowMajor, Trans and NoTrans
+_ROW_MAJOR, _TRANS, _NO_TRANS = 101, 112, 111
 
 
 def _k_bounds(k: int) -> list[int]:
@@ -94,6 +156,19 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.n
     return y
 
 
+def _matmul_into(a: np.ndarray, b: np.ndarray, v: np.ndarray, mu: float) -> None:
+    """``v <- a' @ b + mu * v`` in one dgemm, for a (k, m) ``a``, a (k, n)
+    ``b`` and a C-contiguous float64 (m, n) ``v``, where _fuses(m, n, k)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    (k, m), n = a.shape, b.shape[1]
+    if b.shape[0] != k or v.shape != (m, n) or v.dtype != np.float64 \
+            or not v.flags.c_contiguous:
+        raise ValueError(f"matmul_into: {a.shape}' @ {b.shape} into {v.shape}")
+    _dgemm()(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, 1.0, a.ctypes.data, m,
+             b.ctypes.data, n, mu, v.ctypes.data, n)
+
+
 class Layer:
     """Common layer interface; layers without parameters only override the math."""
 
@@ -119,12 +194,21 @@ class Layer:
         """The output, and what backward needs of this call (``saved``)."""
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+    def _folds_momentum(self, rows: int) -> bool:
+        """Whether backward over ``rows`` rows can take its first
+        parameter's velocity in place of a gradient buffer (see backward)."""
+        return False
+
+    def backward(self, dy: np.ndarray, saved, grads: list,
                  input_grad: bool = True) -> np.ndarray | None:
         """Write the parameter gradients into ``grads``, C-contiguous
         float64 arrays shaped like ``params()`` in its order, from the
         ``saved`` of this pass's forward; return the input gradient, or
-        None when ``input_grad`` is false (nothing upstream needs it)."""
+        None when ``input_grad`` is false (nothing upstream needs it).
+
+        Where ``_folds_momentum(rows)``, the first entry may instead be a
+        pair (v, mu), the first parameter's velocity and momentum: then
+        backward writes ``g + mu * v`` into v, not g into a buffer."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -145,8 +229,8 @@ class Dense(Layer):
         return [self.w, self.b]
 
     def init_params(self, rng: Prng) -> None:
-        self.w = he_init((self.in_features, self.out_features), self.in_features, rng)
-        self.b = he_init((self.out_features,), self.in_features, rng)
+        self.w.data[...] = he_init(self.w.shape, self.in_features, rng).data
+        self.b.data[...] = he_init(self.b.shape, self.in_features, rng).data
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 1 or in_shape[0] != self.in_features:
@@ -165,10 +249,16 @@ class Dense(Layer):
         y += self.b.data
         return y, x
 
-    def backward(self, dy: np.ndarray, x, grads: list[np.ndarray],
+    def _folds_momentum(self, rows: int) -> bool:
+        return _fuses(self.in_features, self.out_features, rows)
+
+    def backward(self, dy: np.ndarray, x, grads: list,
                  input_grad: bool = True) -> np.ndarray | None:
         dw, db = grads
-        _matmul(x.T, dy, out=dw)
+        if isinstance(dw, tuple):
+            _matmul_into(x, dy, *dw)
+        else:
+            _matmul(x.T, dy, out=dw)
         np.sum(dy, axis=0, out=db)
         return _matmul(dy, self.w.data.T) if input_grad else None
 
@@ -184,16 +274,18 @@ class ReLU(Layer):
         # np.maximum keeps a NaN, so a broken weight surfaces in the loss
         # instead of being zeroed; it returns +0.0 for -0.0 like the old
         # np.where(x > 0, x, 0.0), whose data-dependent branch it avoids
-        return np.maximum(x, 0.0), x > 0
+        y = np.maximum(x, 0.0)
+        return y, y
 
-    def backward(self, dy: np.ndarray, mask, grads: list[np.ndarray],
+    def backward(self, dy: np.ndarray, y, grads: list[np.ndarray],
                  input_grad: bool = True) -> np.ndarray | None:
         if not input_grad:
             return None
-        # AND with all-ones words where x > 0: dy's exact bits there, +0.0
-        # elsewhere, which is np.where(mask, dy, 0.0) also for inf and -0.0
+        # y > 0 exactly where x > 0 (a NaN x gives a NaN y, a -0.0 one +0.0).
+        # AND with all-ones words there: dy's exact bits there, +0.0
+        # elsewhere, which is np.where(x > 0, dy, 0.0) also for inf and -0.0
         # (dy * mask would give nan for inf and -0.0 for negative dy)
-        keep = np.subtract(0, mask, dtype=np.uint64)
+        keep = np.subtract(0, y > 0, dtype=np.uint64)
         dy = np.asarray(dy, dtype=np.float64)
         return np.bitwise_and(dy.view(np.uint64), keep, out=keep).view(np.float64)
 
@@ -238,8 +330,8 @@ class Conv2d(Layer):
 
     def init_params(self, rng: Prng) -> None:
         fan_in = self.in_channels * self.kernel * self.kernel
-        self.w = he_init(self.w.shape, fan_in, rng)
-        self.b = he_init((self.out_channels,), fan_in, rng)
+        self.w.data[...] = he_init(self.w.shape, fan_in, rng).data
+        self.b.data[...] = he_init(self.b.shape, fan_in, rng).data
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s, p = self.kernel, self.stride, self.padding

@@ -70,7 +70,7 @@ class Network:
         canonical[-1] = f"head:{self.head.out_features}"
         self.descriptor = " ".join(canonical)
         self._tape = None  # (rows, what each layer's forward saved), for one backward
-        self._workspace = None  # every layer's grads, lent by backward
+        self._workspace = None  # the grads backward lends from, for any layer
 
     @property
     def num_classes(self) -> int:
@@ -91,7 +91,8 @@ class Network:
 
         Layer i always draws from the same child stream of ``seed`` no
         matter what the other layers look like, so e.g. swapping the head
-        width leaves the feature layers' initial weights untouched.
+        width leaves the feature layers' initial weights untouched.  The
+        draws are written into the parameters' arrays, which stay the same.
         """
         base = derive_seed(int(seed), _LAYER_STREAM_TAG)
         for i, layer in enumerate(self.all_layers):
@@ -137,9 +138,17 @@ class Network:
         layer's parameter gradients to ``apply(layer.params(), grads)``
         (``SgdMomentum._apply``) as soon as its backward has made them.
 
-        The grads are views of one workspace, sized to the layer with the
-        most parameter floats and kept for the network's life, so the next
-        layer's backward rewrites them: ``apply`` copies what it keeps.
+        When ``apply`` is an optimizer's bound ``_apply``, the optimizer
+        lends its velocities too: a layer whose weight product can fold
+        the momentum in (``Layer._folds_momentum``: the larger Dense
+        products of at most 384 rows, see ``layers._fuses``) gets that
+        weight's pair (v, mu) from ``_velocity``, its backward writes
+        ``x'dy + mu*v`` straight into v, and ``apply`` then only moves the
+        weight by v.  The head, the biases and every other parameter get
+        views of one workspace, sized to the largest layer they fill,
+        grown only when a batch shape needs more, and kept for the
+        network's life, so the next layer's backward rewrites them:
+        ``apply`` copies what it keeps.
         The first layer with parameters (the head, when no other has any)
         and the layers below it are asked for no input gradient: nothing
         consumes the gradient with respect to the batch or to a
@@ -159,20 +168,31 @@ class Network:
             raise ShapeError(f"dlogits shape {d.shape}, the forward needs "
                              f"{(rows, self.num_classes)}")
         self._tape = None
+        velocity = getattr(getattr(apply, "__self__", None), "_velocity", None)
         # popped, each saved value is let go once its layer has used it
         for i, layer in reversed(list(enumerate(self.all_layers))):
             params = layer.params()
-            grads = self._lend(params)
+            grads = self._lend(layer, rows, velocity)
             d = layer.backward(d, tape.pop(), grads, input_grad=i > self._first_params)
             apply(params, grads)
 
-    def _lend(self, params: list[Tensor]) -> list[np.ndarray]:
-        """Consecutive views of the workspace, shaped like ``params``."""
-        if self._workspace is None:
-            self._workspace = np.empty(max(sum(p.size for p in layer.params())
-                                           for layer in self.all_layers))
-        grads, lo = [], 0
-        for p in params:
+    def _lend(self, layer: Layer, rows: int, velocity) -> list:
+        """What ``layer.backward`` over ``rows`` rows writes its parameter
+        gradients into: the pair ``velocity(weight)`` for a weight it
+        folds the momentum into, unless that is None, and consecutive
+        views of the workspace, shaped like the other parameters."""
+        params = layer.params()
+        grads = []
+        if velocity is not None and layer._folds_momentum(rows):
+            pair = velocity(params[0])
+            if pair is not None:
+                grads.append(pair)
+        rest = params[len(grads):]
+        need = sum(p.size for p in rest)
+        if self._workspace is None or self._workspace.size < need:
+            self._workspace = np.empty(need)
+        lo = 0
+        for p in rest:
             grads.append(self._workspace[lo:lo + p.size].reshape(p.shape))
             lo += p.size
         return grads
@@ -197,13 +217,15 @@ class Network:
         return params
 
     def load_state(self, tensors: list[np.ndarray], skip_head: bool = False) -> None:
-        """Assign copies of ``tensors``, once check_state has passed them all.
+        """Copy ``tensors`` into the parameters' arrays, once check_state
+        has passed them all; no array is rebound, so an optimizer built
+        before keeps the live parameters.
 
         With ``skip_head`` the trailing head parameters are left as they
         are (used when transferring a feature extractor onto a new task).
         """
         for p, t in zip(self.check_state(tensors, skip_head), tensors):
-            p.data = np.asarray(t, dtype=np.float64).copy()
+            p.data[...] = np.asarray(t, dtype=np.float64)
 
 
 def _layer(token: str, shape: tuple[int, ...]) -> tuple[Layer, str]:

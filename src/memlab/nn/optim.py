@@ -63,6 +63,10 @@ class SgdMomentum:
 
     ``_apply(params, grads)`` updates parameters as soon as their gradients
     exist (``Network.backward(d, opt._apply)``); ``step()`` ends each step.
+    Through ``_velocity`` the network also lends a weight's velocity to
+    its layer's backward, whose product then runs the v update itself
+    (one dgemm writes g + mu*v into v, with the same bits): for that
+    weight ``_apply`` only does p <- p - lr*v.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
@@ -77,25 +81,36 @@ class SgdMomentum:
         self._index = {id(p): i for i, p in enumerate(params)}
         self._done: set[int] = set()  # updated by _apply since the last step
 
-    def _apply(self, params: list[Tensor], grads: list[np.ndarray]) -> None:
+    def _velocity(self, p: Tensor) -> tuple[np.ndarray, float] | None:
+        """(v, mu) for a product to update ``p``'s velocity in place as
+        v <- g + mu*v, or None at momentum 0: there dgemm would overwrite a
+        non-finite v that ``v *= 0`` keeps."""
+        return (self.velocity[self._index[id(p)]], self.momentum) if self.momentum else None
+
+    def _apply(self, params: list[Tensor], grads: list) -> None:
         """Update ``params`` now from ``grads``, arrays of their shapes in
-        the same order, and mark them done for this step."""
+        the same order, and mark them done for this step.  A grad that is
+        the pair _velocity lent stands for a velocity its product has
+        already updated."""
         mu, lr = self.momentum, self.lr
         for p, g in zip(params, grads, strict=True):
             i = self._index[id(p)]
             v = self.velocity[i]
-            if g.shape != v.shape:
+            folded = isinstance(g, tuple)
+            if not folded and g.shape != v.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} != parameter shape {v.shape}"
                 )
             if not p.data.flags.c_contiguous:
                 raise ValueError("parameter data must be C-contiguous")
-            flat_p, flat_v, flat_g = p.data.reshape(-1), v.reshape(-1), g.reshape(-1)
+            flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+            flat_g = None if folded else g.reshape(-1)
             for lo in range(0, flat_v.size, _CHUNK):
                 hi = lo + _CHUNK
                 vs = flat_v[lo:hi]
-                vs *= mu
-                vs += flat_g[lo:hi]
+                if flat_g is not None:
+                    vs *= mu
+                    vs += flat_g[lo:hi]
                 flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
             self._done.add(i)
 

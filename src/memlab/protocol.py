@@ -29,7 +29,7 @@ from .nn import (
     predictions,
     softmax_cross_entropy,
 )
-from .nn.layers import _GEMM_SMALL
+from .nn.layers import _GEMM_SMALL, _blas_function
 from .prng import Prng, derive_seed
 
 SPLITS = ("train", "val")
@@ -427,22 +427,7 @@ _BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
 def _blas_thread_setter():
     """The function that sets the thread count of the OpenBLAS numpy
     loaded, or None when none is found."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as f:
-            libs = sorted({line.split()[-1] for line in f if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in libs:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for symbol in _BLAS_SET_THREADS:
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [ctypes.c_int], None
-                return fn
-    return None
+    return _blas_function(_BLAS_SET_THREADS, [ctypes.c_int])
 
 
 def _seed_workers(job, count: int):

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 
 import memlab
 from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError, Tensor
-from memlab.nn.layers import _matmul
+from memlab.nn.layers import _fuses, _matmul
 from oracles import ReferenceConv2d, ReferenceMaxPool2d
 
 
@@ -473,7 +473,7 @@ _THREAD_SWEEP = """
 import hashlib
 import numpy as np
 from memlab import TrainConfig, reshuffle_experiment, synth_images
-from memlab.nn.layers import _matmul
+from memlab.nn.layers import _fuses, _matmul
 
 h = hashlib.sha256()
 rng = np.random.default_rng(7)
@@ -497,18 +497,82 @@ print(h.hexdigest())
 """
 
 
-def test_products_agree_at_one_two_and_three_blas_threads():
+def _at_one_two_and_three_blas_threads(script: str) -> dict[str, str]:
+    """What ``script`` prints in a fresh interpreter at each thread count."""
     # OpenBLAS reads its thread count at import, hence fresh interpreters;
     # it runs at most one thread per usable core, so on a 2-core machine
     # three threads run as two
     src = str(Path(memlab.__file__).resolve().parents[1])
-    digests = {}
+    out = {}
     for threads in ("1", "2", "3"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(
                        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-c", _THREAD_SWEEP], env=env,
+        run = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, timeout=600)
         assert run.returncode == 0, run.stdout + run.stderr
-        digests[threads] = run.stdout.strip()
+        out[threads] = run.stdout.strip()
+    return out
+
+
+def test_products_agree_at_one_two_and_three_blas_threads():
+    digests = _at_one_two_and_three_blas_threads(_THREAD_SWEEP)
     assert len(set(digests.values())) == 1, digests
+
+
+# the momentum folded into the weight-gradient product, against _matmul then
+# v *= mu; v += g, on shapes either side of _fuses' rule: (k, m, n) is rows,
+# inputs and outputs.  Column 5 of x is a dead ReLU unit, so its gradient
+# row sums zeros whose sign follows dy, onto a velocity row of -0.0.  Prints
+# a line per case (shape, mu, folds, same bits), then a digest of a short
+# reshuffle whose first Dense folds.  Both paths give the 33x384->385
+# product other bits at one thread than at two (its odd N is split between
+# the threads), so only the reshuffle is compared across thread counts.
+_FOLD_SWEEP = """
+import hashlib
+import numpy as np
+from memlab import TrainConfig, reshuffle_experiment, synth_images
+from memlab.nn.layers import _fuses, _matmul, _matmul_into
+
+rng = np.random.default_rng(8)
+for k, m, n in ((32, 784, 512), (33, 384, 385), (32, 512, 10), (400, 784, 512)):
+    x, dy = rng.standard_normal((k, m)), rng.standard_normal((k, n))
+    x[:, 5] = 0.0
+    dy[:, 3] = -np.abs(dy[:, 3])
+    v0 = rng.standard_normal((m, n))
+    v0[5] = -0.0
+    for mu in (0.9, 0.5, 0.0):
+        want = v0 * mu
+        want += _matmul(x.T, dy)
+        got = v0.copy()
+        _matmul_into(x, dy, got, mu)
+        print(k, m, n, mu, _fuses(m, n, k), got.tobytes() == want.tobytes())
+h = hashlib.sha256()
+d = synth_images(64, 4, seed=3)
+cfg = TrainConfig(epochs=2, initial_lr=0.05, batch_size=32, seed=5)
+ckpt, log = reshuffle_experiment(d, "flatten dense:64 relu", cfg, rounds=2,
+                                 epochs_per_round=2, base_seed=11)
+for t in ckpt.tensors:
+    h.update(t.tobytes())
+print(h.hexdigest())
+"""
+
+
+@pytest.mark.parametrize("m, n", [(3000, 1), (1, 3000)])
+def test_one_column_weight_gradients_never_fold(m, n):
+    # OpenBLAS hands a one-column product to gemv, whose sums differ from
+    # the blocked kernels' (seen at 5000x1 over 300 rows), however large
+    assert not _fuses(m, n, 384)
+    assert _fuses(3000, 2, 384)
+
+
+def test_folded_momentum_has_the_bits_of_the_two_steps_at_one_two_and_three_threads():
+    runs = _at_one_two_and_three_blas_threads(_FOLD_SWEEP)
+    assert len({out.splitlines()[-1] for out in runs.values()}) == 1, runs
+    for out in runs.values():
+        cases = [line.split() for line in out.splitlines()[:-1]]
+        # the rule admits one-panel products of more than 100**3 multiply-adds
+        assert {tuple(c[:3]) for c in cases if c[4] == "True"} == {
+            ("32", "784", "512"), ("33", "384", "385")}
+        # and wherever it does, the folded product is the two steps bit for bit
+        assert all(c[5] == "True" for c in cases if c[4] == "True"), cases

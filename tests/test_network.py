@@ -10,7 +10,8 @@ from hypothesis import given, settings
 
 from memlab import (Prng, SgdMomentum, ShapeError, build_network, network_from_descriptor,
                     softmax_cross_entropy)
-from memlab.nn import parse_descriptor
+from memlab.nn import layers, parse_descriptor
+from memlab.nn.layers import _matmul_into
 from memlab.nn.gradcheck import _gradients
 from oracles import reference_backward, reference_step
 from test_byte_gate import CONV_ARCH
@@ -328,6 +329,11 @@ def train_steps(arch, shape, batch, momentum, reference, steps=3):
     net = build_network(arch, shape, 10)
     net.initialize(seed=9)
     opt = SgdMomentum(net.parameters(), 0.05, momentum)
+    return run_steps(net, opt, shape, batch, reference, steps)
+
+
+def run_steps(net, opt, shape, batch, reference, steps=3):
+    momentum = opt.momentum
     for s in range(steps):
         x = rand((batch,) + shape, 4200 + s)
         logits = net.forward(x, cache=not reference)
@@ -341,25 +347,99 @@ def train_steps(arch, shape, batch, momentum, reference, steps=3):
     return net, opt.velocity
 
 
-@pytest.mark.parametrize("arch,shape,batch,momentum", [
-    (MLP, (28, 28), 32, 0.9),
-    (MLP, (28, 28), 400, 0.9),  # K = 400 weight-gradient products sum in panels
-    (CONV_ARCH, (1, 16, 16), 8, 0.9),
-    (MLP, (28, 28), 32, 0.0),
-], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0"])
-def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum):
+# the workspace holds the largest layer whose gradients it lends: at batch
+# 32 the two 784-512-512 weights fold their momentum into their products,
+# so the head is the largest; at 400 rows or momentum 0 none does
+W1_FLOATS, HEAD_FLOATS = 784 * 512 + 512, 512 * 10 + 10
+
+
+@pytest.mark.parametrize("arch,shape,batch,momentum,workspace_floats", [
+    (MLP, (28, 28), 32, 0.9, HEAD_FLOATS),
+    (MLP, (28, 28), 400, 0.9, W1_FLOATS),  # K = 400 weight-gradient products sum in panels
+    (CONV_ARCH, (1, 16, 16), 8, 0.9, None),  # no product folds: the largest layer
+    (MLP, (28, 28), 32, 0.0, W1_FLOATS),
+    (MLP, (28, 28), 32, 0.5, HEAD_FLOATS),
+], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0", "momentum-0.5"])
+def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum,
+                                                      workspace_floats):
     plain, plain_v = train_steps(arch, shape, batch, momentum, reference=True)
     fused, fused_v = train_steps(arch, shape, batch, momentum, reference=False)
     for a, b in zip(plain.parameters(), fused.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     for a, b in zip(plain_v, fused_v):
         assert a.tobytes() == b.tobytes()
-    biggest = max(sum(p.size for p in layer.params()) for layer in fused.all_layers)
+    if workspace_floats is None:
+        workspace_floats = max(sum(p.size for p in layer.params())
+                               for layer in fused.all_layers)
     workspace = fused._workspace
-    assert workspace.shape == (biggest,)
+    assert workspace.shape == (workspace_floats,)
     fused.forward(rand((batch,) + shape, 4250))
-    fused.backward(rand((batch, 10), 4251), ignore)
+    fused.backward(rand((batch, 10), 4251),
+                   SgdMomentum(fused.parameters(), 0.05, momentum)._apply)
     assert fused._workspace is workspace  # kept, not made per step
+
+
+@pytest.mark.parametrize("load", [False, True], ids=["initialize", "load_state"])
+def test_an_optimizer_built_before_the_weights_trains_to_the_same_bits(load):
+    # initialize and load_state write into the parameters' arrays, so an
+    # optimizer built first still holds the live parameters; it once failed
+    # on the first backward with a bare KeyError
+    want, want_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
+    net = build_network(MLP, (28, 28), 10)
+    arrays = [p.data for p in net.parameters()]
+    opt = SgdMomentum(net.parameters(), 0.05, 0.9)
+    if load:
+        donor = build_network(MLP, (28, 28), 10)
+        donor.initialize(seed=9)
+        state = donor.state_tensors()
+        net.load_state(state)
+        # copied, never aliased: the step leaves the caller's arrays alone
+        assert not any(np.shares_memory(p.data, t) for p, t in zip(net.parameters(), state))
+    else:
+        net.initialize(seed=9)
+    got, got_v = run_steps(net, opt, (28, 28), 32, reference=False)
+    for a, b in zip(want.parameters(), got.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(want_v, got_v):
+        assert a.tobytes() == b.tobytes()
+    assert all(p.data is a for p, a in zip(net.parameters(), arrays))
+
+
+def test_without_the_dgemm_symbol_every_gradient_takes_the_workspace(monkeypatch):
+    want, want_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
+    assert want._workspace.size == HEAD_FLOATS
+    monkeypatch.setattr(layers, "_dgemm", lambda: None)
+    got, got_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
+    assert got._workspace.size == W1_FLOATS
+    for a, b in zip(want.parameters(), got.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(want_v, got_v):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_momentum_zero_keeps_a_non_finite_velocity_as_the_two_steps_do():
+    # dgemm at beta = 0 overwrites its target without reading it, so a
+    # folded product would drop the NaN that v *= 0 keeps ...
+    x, dy = rand((32, 784), 4700), rand((32, 512), 4701)
+    v = np.full((784, 512), np.nan)
+    _matmul_into(x, dy, v, 0.0)
+    assert np.isfinite(v).all()
+    # ... so at momentum 0 no product folds, and a step keeps it
+    runs = []
+    for reference in (True, False):
+        net = build_network(MLP, (28, 28), 10)
+        net.initialize(seed=9)
+        opt = SgdMomentum(net.parameters(), 0.05, 0.0)
+        assert opt._velocity(net.parameters()[0]) is None
+        opt.velocity[0][0, :3] = [np.nan, np.inf, -np.inf]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            runs.append(run_steps(net, opt, (28, 28), 32, reference, steps=1))
+    (plain, plain_v), (fused, fused_v) = runs
+    for a, b in zip(plain.parameters(), fused.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(plain_v, fused_v):
+        assert a.tobytes() == b.tobytes()
+    assert np.isnan(fused_v[0][0, :3]).all()
 
 
 def test_apply_keeps_only_the_largest_layers_gradient_alive():
@@ -390,7 +470,7 @@ def test_apply_keeps_only_the_largest_layers_gradient_alive():
             tracemalloc.stop()
     grad_bytes = 8 * sum(p.size for p in net.parameters())
     workspace_bytes = net._workspace.nbytes
-    assert workspace_bytes == 8 * (784 * 512 + 512)
+    assert workspace_bytes == 8 * HEAD_FLOATS
     assert peaks[0] - peaks[1] >= 0.9 * (grad_bytes - workspace_bytes)
 
 

@@ -497,22 +497,24 @@ print(h.hexdigest())
 """
 
 
+def _fresh_interpreter(script: str, **env) -> str:
+    """What ``script`` prints in a fresh interpreter importing this memlab."""
+    src = str(Path(memlab.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    return run.stdout.strip()
+
+
 def _at_one_two_and_three_blas_threads(script: str) -> dict[str, str]:
     """What ``script`` prints in a fresh interpreter at each thread count."""
     # OpenBLAS reads its thread count at import, hence fresh interpreters;
     # it runs at most one thread per usable core, so on a 2-core machine
     # three threads run as two
-    src = str(Path(memlab.__file__).resolve().parents[1])
-    out = {}
-    for threads in ("1", "2", "3"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(
-                       [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        run = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, timeout=600)
-        assert run.returncode == 0, run.stdout + run.stderr
-        out[threads] = run.stdout.strip()
-    return out
+    return {threads: _fresh_interpreter(script, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2", "3")}
 
 
 def test_products_agree_at_one_two_and_three_blas_threads():
@@ -556,6 +558,27 @@ for t in ckpt.tensors:
     h.update(t.tobytes())
 print(h.hexdigest())
 """
+
+
+def test_the_blas_lookup_waits_for_the_first_folded_product():
+    # importing memlab, building a net and checking its gradients read no
+    # /proc/self/maps and load no library; the first training step does
+    looked_up = "print(layers._openblas.cache_info().currsize)"
+    out = _fresh_interpreter(f"""
+import numpy as np
+import memlab
+from memlab.nn import layers
+{looked_up}
+net = memlab.build_network("flatten dense:512", (28, 28), 10)
+net.initialize(0)
+x, y = np.ones((32, 784)), np.zeros(32, dtype=np.int64)
+memlab.grad_check(net, x, y, max_entries=2)
+{looked_up}
+opt = memlab.SgdMomentum(net.parameters(), 0.1, 0.9)
+net.backward(memlab.softmax_cross_entropy(net.forward(x), y)[1], opt._apply)
+{looked_up}
+""")
+    assert out.split() == ["0", "0", "1"]
 
 
 @pytest.mark.parametrize("m, n", [(3000, 1), (1, 3000)])

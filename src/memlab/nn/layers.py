@@ -3,10 +3,12 @@
 Every layer does three things and keeps no state between calls but its
 parameters: report its output shape for a given input shape (used for
 construction-time checking), run forward, returning ``(y, saved)``, and run
-``backward(dy, saved, grads)`` on what its own forward saved, writing its
-parameter gradients into ``grads`` and returning the gradient with respect
-to its input (None when the caller passes ``input_grad=False``, as the
-network does for its first layer with parameters and every layer below it).
+``backward(dy, saved, velocity, mu)`` on what its own forward saved,
+folding each parameter gradient g into the optimizer's velocity v of that
+parameter as ``v <- g + mu*v`` and returning the gradient with respect to
+its input (None when the caller passes ``input_grad=False``, as the network
+does for its first layer with parameters and every layer below it).  No
+gradient is kept: the optimizer's step then moves the weights by v.
 
 Convolution uses the cross-correlation convention (no kernel flip), zero
 padding and integer strides.  Pooling windows must lie fully inside the
@@ -40,10 +42,13 @@ _COLS_BLOCK_BYTES = 1 << 20
 # most _GEMM_Q and adds their products into C in order; its single-threaded
 # dgemm splits some K differently.  With the OpenBLAS 0.3.31
 # (Haswell kernels) that numpy 2.4 bundles, x @ W changes bits with the
-# thread count exactly when K > _GEMM_Q and K % _GEMM_ALIGN != 0, and a
-# product whose K is at most _GEMM_Q is the same at any thread count.  The
-# rule belongs to that build's kernels; tests/test_layers.py holds the
-# products to equal bits at 1, 2 and 3 threads.
+# thread count when K > _GEMM_Q and K % _GEMM_ALIGN != 0: the products
+# _matmul splits.  Threaded dgemm also splits the output width N, and some
+# odd N change bits with K <= _GEMM_Q too: measured at 1 thread against 2,
+# (32, 200) @ (200, N) at N = 255 and 257 (not 256 or 384), and x' @ dy for
+# (33, 384)' (33, 385) and (32, 200)' (32, 255).  The rule belongs to that
+# build's kernels; tests/test_layers.py holds the products it sweeps (N of
+# 10, 256 and 512) to equal bits at 1, 2 and 3 threads.
 _GEMM_Q = 384
 _GEMM_ALIGN = 32
 # The same build hands a product of at most _GEMM_SMALL multiply-adds
@@ -54,16 +59,16 @@ _GEMM_ALIGN = 32
 # than one row, and both lie on the same side of this bound;
 # tests/test_protocol.py holds evaluate's row slices to that.
 _GEMM_SMALL = 100 ** 3
-# Both bounds also decide where Dense.backward folds the momentum into its
-# weight-gradient product (_fuses): one dgemm with beta = mu writes
+# Both bounds also decide where a weight-gradient product folds the
+# momentum in (_fuses, _grad_into): one dgemm with beta = mu writes
 # x'dy + mu*v straight into the optimizer's velocity, and the gradient is
 # never stored.  OpenBLAS scales C by beta, then adds each K panel of the
 # product into it, so the result has the bits of _matmul then
 # ``v *= mu; v += g`` exactly when the product is one panel (K <= _GEMM_Q)
 # run by the blocked kernels (M*N*K > _GEMM_SMALL, and M and N above one,
 # since a one-column product goes to gemv); tests/test_layers.py holds it
-# to that at 1, 2 and 3 threads.  Every other product goes through the
-# network's gradient workspace.
+# to that at 1, 2 and 3 threads.  Every other weight gradient is made by
+# _matmul and then folded in by those two steps.
 
 
 def _fuses(m: int, n: int, k: int) -> bool:
@@ -137,20 +142,22 @@ def _zeros(shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
     return np.zeros([shape[d] for d in order]).transpose(np.argsort(order))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``a @ b`` for 2-D operands, with the same bits at any BLAS thread count.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for 2-D operands, with no bits that depend on how threaded
+    dgemm splits K (some odd output widths still depend on the thread
+    count: see _GEMM_Q).
 
-    Where the thread count could change the bits, the product is summed over
+    Where that split could change the bits, the product is summed over
     the K panels of threaded dgemm, in its order: _GEMM_Q-wide panels
     while at least 2*_GEMM_Q of K remain, then the remainder in two halves
     (the first one the longer).  For K = 784 that is [0:384] + [384:584] +
-    [584:784].  Each panel is thread-independent, and the sum equals the
-    plain product wherever OpenBLAS threads it.
+    [584:784].  The sum equals the plain product wherever OpenBLAS threads
+    it.
     """
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     bounds = _k_bounds(a.shape[1])
-    y = np.matmul(a[:, :bounds[1]], b[:bounds[1]], out=out)
+    y = a[:, :bounds[1]] @ b[:bounds[1]]
     for lo, hi in zip(bounds[1:-1], bounds[2:]):
         y += a[:, lo:hi] @ b[lo:hi]
     return y
@@ -167,6 +174,21 @@ def _matmul_into(a: np.ndarray, b: np.ndarray, v: np.ndarray, mu: float) -> None
         raise ValueError(f"matmul_into: {a.shape}' @ {b.shape} into {v.shape}")
     _dgemm()(_ROW_MAJOR, _TRANS, _NO_TRANS, m, n, k, 1.0, a.ctypes.data, m,
              b.ctypes.data, n, mu, v.ctypes.data, n)
+
+
+def _grad_into(a: np.ndarray, b: np.ndarray, v: np.ndarray, mu: float) -> None:
+    """``v <- a' @ b + mu * v`` for a (k, m) ``a``, a (k, n) ``b`` and a
+    C-contiguous float64 (m, n) ``v``: one dgemm (_matmul_into) where
+    _fuses(m, n, k), otherwise _matmul then ``v *= mu; v += g``, with the
+    same bits.  At mu = 0 nothing folds: dgemm at beta = 0 would overwrite
+    a non-finite v that ``v *= 0`` keeps."""
+    (k, m), n = a.shape, b.shape[1]
+    if mu and _fuses(m, n, k):
+        _matmul_into(a, b, v, mu)
+    else:
+        g = _matmul(a.T, b)
+        v *= mu
+        v += g
 
 
 class Layer:
@@ -194,21 +216,14 @@ class Layer:
         """The output, and what backward needs of this call (``saved``)."""
         raise NotImplementedError
 
-    def _folds_momentum(self, rows: int) -> bool:
-        """Whether backward over ``rows`` rows can take its first
-        parameter's velocity in place of a gradient buffer (see backward)."""
-        return False
-
-    def backward(self, dy: np.ndarray, saved, grads: list,
+    def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
-        """Write the parameter gradients into ``grads``, C-contiguous
-        float64 arrays shaped like ``params()`` in its order, from the
-        ``saved`` of this pass's forward; return the input gradient, or
+        """From the ``saved`` of this pass's forward, write ``g + mu * v``
+        into each parameter's velocity v, g being that parameter's
+        gradient; ``velocity`` holds C-contiguous float64 arrays shaped
+        like ``params()``, in its order.  Return the input gradient, or
         None when ``input_grad`` is false (nothing upstream needs it).
-
-        Where ``_folds_momentum(rows)``, the first entry may instead be a
-        pair (v, mu), the first parameter's velocity and momentum: then
-        backward writes ``g + mu * v`` into v, not g into a buffer."""
+        Layers without parameters ignore ``velocity`` and ``mu``."""
         raise NotImplementedError
 
     def describe(self) -> str:
@@ -249,17 +264,12 @@ class Dense(Layer):
         y += self.b.data
         return y, x
 
-    def _folds_momentum(self, rows: int) -> bool:
-        return _fuses(self.in_features, self.out_features, rows)
-
-    def backward(self, dy: np.ndarray, x, grads: list,
+    def backward(self, dy: np.ndarray, x, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
-        dw, db = grads
-        if isinstance(dw, tuple):
-            _matmul_into(x, dy, *dw)
-        else:
-            _matmul(x.T, dy, out=dw)
-        np.sum(dy, axis=0, out=db)
+        vw, vb = velocity
+        _grad_into(x, dy, vw, mu)
+        vb *= mu
+        vb += np.sum(dy, axis=0)
         return _matmul(dy, self.w.data.T) if input_grad else None
 
     def describe(self) -> str:
@@ -277,7 +287,7 @@ class ReLU(Layer):
         y = np.maximum(x, 0.0)
         return y, y
 
-    def backward(self, dy: np.ndarray, y, grads: list[np.ndarray],
+    def backward(self, dy: np.ndarray, y, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
         if not input_grad:
             return None
@@ -304,7 +314,7 @@ class Flatten(Layer):
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         return x.reshape(x.shape[0], -1), (x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+    def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
         shape, order = saved
         if not input_grad:
@@ -400,7 +410,7 @@ class Conv2d(Layer):
         return (y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2),
                 (cols, (n, h, w), (oh, ow)))
 
-    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+    def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
@@ -410,9 +420,10 @@ class Conv2d(Layer):
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         if n == 1:
             dyc = np.asfortranarray(dyc)
-        dw, db = grads
-        _matmul(dyc.T, cols, out=dw.reshape(self.out_channels, -1))
-        np.sum(dyc, axis=0, out=db)
+        vw, vb = velocity
+        _grad_into(dyc, cols, vw.reshape(self.out_channels, -1), mu)
+        vb *= mu
+        vb += np.sum(dyc, axis=0)
         if not input_grad:
             return None
         wmat = self.w.data.reshape(self.out_channels, -1)
@@ -482,7 +493,7 @@ class MaxPool2d(Layer):
             bits ^= keep
         return best, (arg, x.shape, _axis_order(x))
 
-    def backward(self, dy: np.ndarray, saved, grads: list[np.ndarray],
+    def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
         arg, shape, order = saved
         if not input_grad:

@@ -70,7 +70,6 @@ class Network:
         canonical[-1] = f"head:{self.head.out_features}"
         self.descriptor = " ".join(canonical)
         self._tape = None  # (rows, what each layer's forward saved), for one backward
-        self._workspace = None  # the grads backward lends from, for any layer
 
     @property
     def num_classes(self) -> int:
@@ -133,22 +132,13 @@ class Network:
         self._tape = (len(x), tape) if cache else None
         return x
 
-    def backward(self, dlogits: np.ndarray, apply) -> None:
-        """Run every layer's backward, from the head down, and hand each
-        layer's parameter gradients to ``apply(layer.params(), grads)``
-        (``SgdMomentum._apply``) as soon as its backward has made them.
-
-        When ``apply`` is an optimizer's bound ``_apply``, the optimizer
-        lends its velocities too: a layer whose weight product can fold
-        the momentum in (``Layer._folds_momentum``: the larger Dense
-        products of at most 384 rows, see ``layers._fuses``) gets that
-        weight's pair (v, mu) from ``_velocity``, its backward writes
-        ``x'dy + mu*v`` straight into v, and ``apply`` then only moves the
-        weight by v.  The head, the biases and every other parameter get
-        views of one workspace, sized to the largest layer they fill,
-        grown only when a batch shape needs more, and kept for the
-        network's life, so the next layer's backward rewrites them:
-        ``apply`` copies what it keeps.
+    def backward(self, dlogits: np.ndarray, opt) -> None:
+        """Run every layer's backward, from the head down, folding each
+        parameter's gradient g into the velocity v that the optimizer
+        ``opt`` keeps for it: ``opt._lend`` hands a layer its parameters'
+        velocities, and the layer writes ``g + mu*v`` into them (see
+        ``layers._grad_into``).  No gradient outlives its layer's backward,
+        and no weight moves: ``opt.step()`` then does ``p <- p - lr*v``.
         The first layer with parameters (the head, when no other has any)
         and the layers below it are asked for no input gradient: nothing
         consumes the gradient with respect to the batch or to a
@@ -157,8 +147,10 @@ class Network:
         Each training forward allows one backward: a backward before any
         forward, a second one after one forward, or one after a forward
         with ``cache`` false raises RuntimeError.  A ``dlogits`` that is not
-        (rows of that forward, num_classes) raises ShapeError before any
-        layer runs, and leaves that forward's backward to a later call.
+        (rows of that forward, num_classes) raises ShapeError, and an
+        ``opt`` that does not hold every parameter raises ValueError naming
+        a layer whose parameters it lacks.  Both are raised before any
+        layer runs, and leave that forward's backward to a later call.
         """
         if self._tape is None:
             raise RuntimeError("backward called without forward")
@@ -167,35 +159,15 @@ class Network:
         if d.shape != (rows, self.num_classes):
             raise ShapeError(f"dlogits shape {d.shape}, the forward needs "
                              f"{(rows, self.num_classes)}")
+        for i, layer in enumerate(self.all_layers):
+            if any(id(p) not in opt._index for p in layer.params()):
+                raise ValueError(f"layer {i} ({layer.describe()}): parameters "
+                                 "the optimizer was not built on")
         self._tape = None
-        velocity = getattr(getattr(apply, "__self__", None), "_velocity", None)
         # popped, each saved value is let go once its layer has used it
         for i, layer in reversed(list(enumerate(self.all_layers))):
-            params = layer.params()
-            grads = self._lend(layer, rows, velocity)
-            d = layer.backward(d, tape.pop(), grads, input_grad=i > self._first_params)
-            apply(params, grads)
-
-    def _lend(self, layer: Layer, rows: int, velocity) -> list:
-        """What ``layer.backward`` over ``rows`` rows writes its parameter
-        gradients into: the pair ``velocity(weight)`` for a weight it
-        folds the momentum into, unless that is None, and consecutive
-        views of the workspace, shaped like the other parameters."""
-        params = layer.params()
-        grads = []
-        if velocity is not None and layer._folds_momentum(rows):
-            pair = velocity(params[0])
-            if pair is not None:
-                grads.append(pair)
-        rest = params[len(grads):]
-        need = sum(p.size for p in rest)
-        if self._workspace is None or self._workspace.size < need:
-            self._workspace = np.empty(need)
-        lo = 0
-        for p in rest:
-            grads.append(self._workspace[lo:lo + p.size].reshape(p.shape))
-            lo += p.size
-        return grads
+            d = layer.backward(d, tape.pop(), opt._lend(layer.params()), opt.momentum,
+                               input_grad=i > self._first_params)
 
     def state_tensors(self) -> list[np.ndarray]:
         """Copies of all parameter arrays in network order."""

@@ -48,7 +48,7 @@ class TrainConfig:
 
 
 # float64 elements per slice of the update: 256 KiB, so the slices of
-# v, g, p and the scratch buffer that one pass of four touches stay in a
+# v, p and the scratch buffer that one slice's passes touch stay in a
 # 1-2 MiB L2 cache between passes
 _CHUNK = 32768
 
@@ -57,16 +57,13 @@ class SgdMomentum:
     """Classical (heavy-ball) momentum:  v <- mu*v + g;  p <- p - lr*v.
 
     With momentum 0 this is exactly vanilla SGD.  Velocities are allocated
-    zero, one per parameter, in parameter order.  The update runs in place,
-    _CHUNK elements at a time; each element gets the same three float64
-    operations as the whole-array form, so the result is bit-identical.
-
-    ``_apply(params, grads)`` updates parameters as soon as their gradients
-    exist (``Network.backward(d, opt._apply)``); ``step()`` ends each step.
-    Through ``_velocity`` the network also lends a weight's velocity to
-    its layer's backward, whose product then runs the v update itself
-    (one dgemm writes g + mu*v into v, with the same bits): for that
-    weight ``_apply`` only does p <- p - lr*v.
+    zero, one per parameter, in parameter order.  The v update runs in the
+    backward pass: ``Network.backward(d, opt)`` lends each layer its
+    parameters' velocities (``_lend``), and the layer writes g + mu*v into
+    them, as ``v *= mu; v += g`` or as one dgemm with the same bits.
+    ``step()`` then moves every parameter by v, in place, _CHUNK elements
+    at a time; each element gets the same float64 operations as the
+    whole-array form, so the result is bit-identical.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float):
@@ -79,47 +76,33 @@ class SgdMomentum:
         largest = max((p.size for p in params), default=0)
         self._scratch = np.empty(min(_CHUNK, largest))
         self._index = {id(p): i for i, p in enumerate(params)}
-        self._done: set[int] = set()  # updated by _apply since the last step
+        self._done: set[int] = set()  # velocities lent since the last step
 
-    def _velocity(self, p: Tensor) -> tuple[np.ndarray, float] | None:
-        """(v, mu) for a product to update ``p``'s velocity in place as
-        v <- g + mu*v, or None at momentum 0: there dgemm would overwrite a
-        non-finite v that ``v *= 0`` keeps."""
-        return (self.velocity[self._index[id(p)]], self.momentum) if self.momentum else None
-
-    def _apply(self, params: list[Tensor], grads: list) -> None:
-        """Update ``params`` now from ``grads``, arrays of their shapes in
-        the same order, and mark them done for this step.  A grad that is
-        the pair _velocity lent stands for a velocity its product has
-        already updated."""
-        mu, lr = self.momentum, self.lr
-        for p, g in zip(params, grads, strict=True):
-            i = self._index[id(p)]
-            v = self.velocity[i]
-            folded = isinstance(g, tuple)
-            if not folded and g.shape != v.shape:
-                raise ValueError(
-                    f"gradient shape {g.shape} != parameter shape {v.shape}"
-                )
-            if not p.data.flags.c_contiguous:
-                raise ValueError("parameter data must be C-contiguous")
-            flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
-            flat_g = None if folded else g.reshape(-1)
-            for lo in range(0, flat_v.size, _CHUNK):
-                hi = lo + _CHUNK
-                vs = flat_v[lo:hi]
-                if flat_g is not None:
-                    vs *= mu
-                    vs += flat_g[lo:hi]
-                flat_p[lo:hi] -= np.multiply(vs, lr, out=self._scratch[:vs.size])
-            self._done.add(i)
+    def _lend(self, params: list[Tensor]) -> list[np.ndarray]:
+        """The velocities of ``params``, in their order, for a backward
+        to write g + mu*v into; marks them written for this step."""
+        lent = [self._index[id(p)] for p in params]
+        self._done.update(lent)
+        return [self.velocity[i] for i in lent]
 
     def step(self) -> None:
-        """End the step: clear the marks, and raise RuntimeError unless
-        _apply has updated every parameter since the last step."""
+        """Move every parameter by p <- p - lr*v and clear the marks.
+
+        RuntimeError unless a backward has lent every velocity since the
+        last step, and ValueError unless every parameter's array is
+        C-contiguous; either way no parameter moves, and the marks clear.
+        """
         done, self._done = self._done, set()
         if len(done) != len(self.params):
             raise RuntimeError("optimizer step with missing gradient")
+        if not all(p.data.flags.c_contiguous for p in self.params):
+            raise ValueError("parameter data must be C-contiguous")
+        for p, v in zip(self.params, self.velocity):
+            flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
+            for lo in range(0, flat_v.size, _CHUNK):
+                vs = flat_v[lo:lo + _CHUNK]
+                flat_p[lo:lo + _CHUNK] -= np.multiply(vs, self.lr,
+                                                      out=self._scratch[:vs.size])
 
 
 class PlateauScheduler:

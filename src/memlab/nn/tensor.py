@@ -13,9 +13,10 @@ from ..prng import Prng
 class Tensor:
     """A dense float64 array: a trainable parameter.
 
-    Activations flowing through the network are plain numpy arrays, and a
-    parameter's gradient is an array that ``Network.backward`` lends for
-    its layer's backward alone: a Tensor holds none.
+    Activations flowing through the network are plain numpy arrays.  A
+    parameter's gradient is never stored: each layer's backward folds it
+    straight into the optimizer's velocity for the parameter
+    (``Network.backward``), so a Tensor holds none.
 
     The constructor copies ``data``: the optimizer updates parameters in
     place, which must never write through to a caller's array.

@@ -265,7 +265,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
                 )
             loss_sum += loss * idx.size
             hits += int((predictions(logits) == train_d.labels[idx]).sum())
-            net.backward(dlogits, opt._apply)
+            net.backward(dlogits, opt)
             opt.step()
         train_loss = loss_sum / n
         log.append(EpochRecord(round, epoch, "train", train_loss, hits / n, lr_used))

@@ -13,11 +13,13 @@ window view and scatters its gradient with np.add.at.  Both keep the
 parameters and constructor of the layer they shadow, so a test can load the
 same weights into either and compare outputs with .tobytes().
 
-reference_backward and reference_step are the train step written without
-the network's gradient workspace: a plain forward and a full backward into
-fresh per-parameter buffers, then the whole-array momentum update.  The
-workspace path applies each layer's gradient during backward and must
-give the same parameters and velocities bit for bit.
+reference_backward and reference_step are the train step written with
+every gradient kept: a plain forward, a full backward into fresh zero
+velocities at momentum 0 (each then holds its gradient exactly), then the
+whole-array momentum update.  Network.backward folds each gradient into
+the optimizer's velocity as its layer runs, and SgdMomentum.step moves
+the weights; the two must give the same parameters and velocities bit for
+bit.
 """
 
 import numpy as np
@@ -55,14 +57,17 @@ class ReferenceConv2d(Conv2d):
             y.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         ), (cols, (n, h, w), (oh, ow))
 
-    def backward(self, dy, saved, grads, input_grad=True):
+    def backward(self, dy, saved, velocity, mu, input_grad=True):
         cols, (n, h, w), (oh, ow) = saved
         k, s, p = self.kernel, self.stride, self.padding
         dyc = dy.transpose(0, 2, 3, 1).reshape(n * oh * ow, self.out_channels)
         wmat = self.w.data.reshape(self.out_channels, -1)
-        dw, db = grads
-        _matmul(dyc.T, cols, out=dw.reshape(self.out_channels, -1))
-        np.sum(dyc, axis=0, out=db)
+        vw, vb = velocity
+        g = _matmul(dyc.T, cols).reshape(vw.shape)
+        vw *= mu
+        vw += g
+        vb *= mu
+        vb += np.sum(dyc, axis=0)
         dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, self.in_channels, h + 2 * p, w + 2 * p))
         for i in range(k):
@@ -86,7 +91,7 @@ class ReferenceMaxPool2d(MaxPool2d):
         y = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
         return y, (idx, (n, c, h, w), (oh, ow))
 
-    def backward(self, dy, saved, grads, input_grad=True):
+    def backward(self, dy, saved, velocity, mu, input_grad=True):
         idx, (n, c, h, w), (oh, ow) = saved
         k, s = self.kernel, self.stride
         dx = np.zeros((n, c, h, w))
@@ -100,15 +105,16 @@ class ReferenceMaxPool2d(MaxPool2d):
 def reference_backward(net, batch, dlogits):
     """Every parameter gradient of ``net`` at ``batch``, in network order:
     each layer's forward, then each layer's backward with an input gradient,
-    into buffers made for this call."""
+    into zero velocities made for this call, at momentum 0.  Zeros, not
+    np.empty: ``v *= 0`` keeps a NaN that fresh memory may hold."""
     x, tape = net._adapt_input(np.asarray(batch, dtype=np.float64)), []
     for layer in net.all_layers:
         x, saved = layer.forward(x)
         tape.append(saved)
     d, grads = np.asarray(dlogits, dtype=np.float64), []
     for layer in reversed(net.all_layers):
-        g = [np.empty(p.shape) for p in layer.params()]
-        d = layer.backward(d, tape.pop(), g)
+        g = [np.zeros(p.shape) for p in layer.params()]
+        d = layer.backward(d, tape.pop(), g, 0.0)
         grads[:0] = g
     return grads
 

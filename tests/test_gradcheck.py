@@ -58,9 +58,9 @@ def test_corrupted_backward_is_detected():
 
     head_backward = net.head.backward
 
-    def doubled(dy, saved, grads, input_grad=True):
-        out = head_backward(dy, saved, grads, input_grad)
-        grads[0] *= 2.0
+    def doubled(dy, saved, velocity, mu, input_grad=True):
+        out = head_backward(dy, saved, velocity, mu, input_grad)
+        velocity[0] *= 2.0
         return out
 
     net.head.backward = doubled

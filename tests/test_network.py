@@ -229,15 +229,11 @@ def test_conv_reads_image_samples_as_one_channel():
         "in:28x28 flatten dense:4 head:10"
 
 
-def ignore(params, grads):
-    """An apply that updates nothing."""
-
-
 def test_backward_before_forward():
     net = build_network("flatten dense:4", (3,), 2)
     net.initialize(seed=0)
     with pytest.raises(RuntimeError):
-        net.backward(np.zeros((1, 2)), ignore)
+        net.backward(np.zeros((1, 2)), SgdMomentum(net.parameters(), 0.1, 0.9))
 
 
 @pytest.mark.parametrize("arch,shape", [
@@ -248,17 +244,18 @@ def test_each_training_forward_allows_one_backward(arch, shape):
     net = build_network(arch, shape, 2)
     net.initialize(seed=0)
     batch, dlogits = rand((4,) + shape, 4100), rand((4, 2), 4101)
+    opt = SgdMomentum(net.parameters(), 0.1, 0.9)
     none = "backward called without forward"
     with pytest.raises(RuntimeError, match=none):  # before any forward
-        net.backward(dlogits, ignore)
+        net.backward(dlogits, opt)
     net.forward(batch)
     grads = _gradients(net, dlogits)
     with pytest.raises(RuntimeError, match=none):  # a second time after one forward
-        net.backward(dlogits, ignore)
+        net.backward(dlogits, opt)
     net.forward(batch)
     net.forward(batch, cache=False)
     with pytest.raises(RuntimeError, match=none):  # after a forward that keeps nothing
-        net.backward(dlogits, ignore)
+        net.backward(dlogits, opt)
     net.forward(batch)
     for a, g in zip(grads, _gradients(net, dlogits)):
         assert a.tobytes() == g.tobytes()
@@ -278,16 +275,39 @@ def test_backward_refuses_dlogits_of_another_shape(arch, shape, dshape):
     opt = SgdMomentum(net.parameters(), 0.1, 0.9)
     batch = rand((4,) + shape, 4700)
     net.forward(batch)
-    net.backward(rand((4, 2), 4701), opt._apply)
+    net.backward(rand((4, 2), 4701), opt)
     opt.step()
     before = [p.data.tobytes() for p in net.parameters()]
     velocity = [v.tobytes() for v in opt.velocity]
     net.forward(batch)
     with pytest.raises(ShapeError, match=re.escape(f"{dshape}, the forward needs (4, 2)")):
-        net.backward(rand(dshape, 4702), opt._apply)
+        net.backward(rand(dshape, 4702), opt)
     assert [p.data.tobytes() for p in net.parameters()] == before
     assert [v.tobytes() for v in opt.velocity] == velocity
-    net.backward(rand((4, 2), 4701), opt._apply)  # the forward's backward is still due
+    net.backward(rand((4, 2), 4701), opt)  # the forward's backward is still due
+    opt.step()
+
+
+@pytest.mark.parametrize("held", [slice(0, 0), slice(2, None), slice(0, -1)],
+                         ids=["none", "all-but-the-first-layer", "all-but-the-head-bias"])
+def test_backward_refuses_an_optimizer_of_other_parameters(held):
+    # one built on another net's parameters once escaped the first layer's
+    # backward as a bare KeyError, the id() of a parameter
+    net, other = (build_network("flatten dense:4 relu", (3,), 2) for _ in range(2))
+    net.initialize(seed=0)
+    params = net.parameters()
+    foreign = SgdMomentum(other.parameters()[:2] + params[held], 0.1, 0.9)
+    opt = SgdMomentum(params, 0.1, 0.9)
+    batch = rand((4, 3), 4700)
+    net.forward(batch)
+    before = [v.tobytes() for v in foreign.velocity]
+    lacking = "layer 3 (Dense(4->2))" if held.stop == -1 else "layer 1 (Dense(3->4))"
+    with pytest.raises(ValueError, match=re.escape(f"{lacking}: parameters the optimizer")):
+        net.backward(rand((4, 2), 4701), foreign)
+    assert [v.tobytes() for v in foreign.velocity] == before
+    with pytest.raises(RuntimeError, match="missing gradient"):  # nothing lent
+        foreign.step()
+    net.backward(rand((4, 2), 4701), opt)  # the forward's backward is still due
     opt.step()
 
 
@@ -302,9 +322,9 @@ def test_backward_skips_input_gradients_nothing_uses(arch, shape, spared):
     net.initialize(seed=4)
     asked = []
     for layer in net.all_layers:
-        def spy(dy, saved, grads, input_grad=True, _inner=layer.backward):
+        def spy(dy, saved, velocity, mu, input_grad=True, _inner=layer.backward):
             asked.append(input_grad)
-            return _inner(dy, saved, grads, input_grad=input_grad)
+            return _inner(dy, saved, velocity, mu, input_grad=input_grad)
         layer.backward = spy
     batch, dlogits = rand((4,) + shape, 4000), rand((4, 3), 4001)
     net.forward(batch)
@@ -323,8 +343,8 @@ MLP = "flatten dense:512 relu dense:512 relu"
 
 
 def train_steps(arch, shape, batch, momentum, reference, steps=3):
-    """The net and its velocities after ``steps`` SGD steps, each applied
-    in the network's backward or, for ``reference``, by the whole-array
+    """The net and its velocities after ``steps`` SGD steps, each a
+    network backward then ``step()`` or, for ``reference``, the whole-array
     update from gradients kept to the end of a backward of their own."""
     net = build_network(arch, shape, 10)
     net.initialize(seed=9)
@@ -342,41 +362,40 @@ def run_steps(net, opt, shape, batch, reference, steps=3):
             grads = reference_backward(net, x, dlogits)
             reference_step(net.parameters(), opt.velocity, grads, 0.05, momentum)
         else:
-            net.backward(dlogits, opt._apply)
+            net.backward(dlogits, opt)
             opt.step()
     return net, opt.velocity
 
 
-# the workspace holds the largest layer whose gradients it lends: at batch
-# 32 the two 784-512-512 weights fold their momentum into their products,
-# so the head is the largest; at 400 rows or momentum 0 none does
-W1_FLOATS, HEAD_FLOATS = 784 * 512 + 512, 512 * 10 + 10
+# a conv whose 32 x 144 weight-gradient product folds: over 6 * 8 * 8 = 384
+# rows, and over the 16 * 16 rows of one image, whose dy is read column-major
+FOLDING_CONV = "conv:16,3,1,1 relu conv:32,3,1,1 relu flatten"
 
 
-@pytest.mark.parametrize("arch,shape,batch,momentum,workspace_floats", [
-    (MLP, (28, 28), 32, 0.9, HEAD_FLOATS),
-    (MLP, (28, 28), 400, 0.9, W1_FLOATS),  # K = 400 weight-gradient products sum in panels
-    (CONV_ARCH, (1, 16, 16), 8, 0.9, None),  # no product folds: the largest layer
-    (MLP, (28, 28), 32, 0.0, W1_FLOATS),
-    (MLP, (28, 28), 32, 0.5, HEAD_FLOATS),
-], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0", "momentum-0.5"])
-def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum,
-                                                      workspace_floats):
+@pytest.mark.parametrize("arch,shape,batch,momentum", [
+    (MLP, (28, 28), 32, 0.9),  # both 784-512-512 weight products fold
+    (MLP, (28, 28), 400, 0.9),  # K = 400 weight-gradient products sum in panels
+    (CONV_ARCH, (1, 16, 16), 8, 0.9),  # no product folds
+    (MLP, (28, 28), 32, 0.0),  # nothing folds at momentum 0
+    (MLP, (28, 28), 32, 0.5),
+    (FOLDING_CONV, (1, 8, 8), 6, 0.9),
+    (FOLDING_CONV, (1, 16, 16), 1, 0.9),
+], ids=["mlp-32", "mlp-400", "conv-overlapping-pool", "momentum-0", "momentum-0.5",
+        "conv-folds", "conv-folds-one-image"])
+def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, momentum):
     plain, plain_v = train_steps(arch, shape, batch, momentum, reference=True)
     fused, fused_v = train_steps(arch, shape, batch, momentum, reference=False)
     for a, b in zip(plain.parameters(), fused.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     for a, b in zip(plain_v, fused_v):
         assert a.tobytes() == b.tobytes()
-    if workspace_floats is None:
-        workspace_floats = max(sum(p.size for p in layer.params())
-                               for layer in fused.all_layers)
-    workspace = fused._workspace
-    assert workspace.shape == (workspace_floats,)
-    fused.forward(rand((batch,) + shape, 4250))
-    fused.backward(rand((batch, 10), 4251),
-                   SgdMomentum(fused.parameters(), 0.05, momentum)._apply)
-    assert fused._workspace is workspace  # kept, not made per step
+
+
+def test_the_folding_cases_fold():
+    # what the bits above are checked on: a folded product where it says so
+    assert layers._fuses(32, 16 * 9, 6 * 8 * 8) and layers._fuses(32, 16 * 9, 16 * 16)
+    assert layers._fuses(784, 512, 32) and layers._fuses(512, 512, 32)
+    assert not layers._fuses(784, 512, 400) and not layers._fuses(512, 10, 32)
 
 
 @pytest.mark.parametrize("load", [False, True], ids=["initialize", "load_state"])
@@ -405,12 +424,11 @@ def test_an_optimizer_built_before_the_weights_trains_to_the_same_bits(load):
     assert all(p.data is a for p, a in zip(net.parameters(), arrays))
 
 
-def test_without_the_dgemm_symbol_every_gradient_takes_the_workspace(monkeypatch):
+def test_without_the_dgemm_symbol_a_step_gives_the_same_bits(monkeypatch):
     want, want_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
-    assert want._workspace.size == HEAD_FLOATS
     monkeypatch.setattr(layers, "_dgemm", lambda: None)
+    assert not layers._fuses(784, 512, 32)
     got, got_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
-    assert got._workspace.size == W1_FLOATS
     for a, b in zip(want.parameters(), got.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
     for a, b in zip(want_v, got_v):
@@ -430,7 +448,6 @@ def test_momentum_zero_keeps_a_non_finite_velocity_as_the_two_steps_do():
         net = build_network(MLP, (28, 28), 10)
         net.initialize(seed=9)
         opt = SgdMomentum(net.parameters(), 0.05, 0.0)
-        assert opt._velocity(net.parameters()[0]) is None
         opt.velocity[0][0, :3] = [np.nan, np.inf, -np.inf]
         with np.errstate(invalid="ignore"):  # 0 * inf
             runs.append(run_steps(net, opt, (28, 28), 32, reference, steps=1))
@@ -442,9 +459,13 @@ def test_momentum_zero_keeps_a_non_finite_velocity_as_the_two_steps_do():
     assert np.isnan(fused_v[0][0, :3]).all()
 
 
-def test_apply_keeps_only_the_largest_layers_gradient_alive():
+# the head's weight gradient, the largest a batch-32 backward of the MLP makes
+HEAD_FLOATS = 512 * 10
+
+
+def test_backward_keeps_no_gradient_alive_beyond_one_layer():
     """A short round of the 784-512-512-10 MLP, traced once with every
-    gradient kept to the step and once applied in backward."""
+    gradient kept to the step and once folded in backward."""
     peaks = []
     for reference in (True, False):
         net = build_network(MLP, (28, 28), 10)
@@ -457,21 +478,21 @@ def test_apply_keeps_only_the_largest_layers_gradient_alive():
             for x, y in batches:
                 _, dlogits = softmax_cross_entropy(net.forward(x, cache=not reference), y)
                 if reference:
-                    # the optimizer's own chunked update: the reference's
-                    # whole-array one would add a temporary of W1's size
+                    # folded in place: the reference's whole-array step
+                    # would add a temporary of W1's size
                     grads = reference_backward(net, x, dlogits)
-                    opt._apply(net.parameters(), grads)
+                    for v, g in zip(opt._lend(net.parameters()), grads):
+                        v *= opt.momentum
+                        v += g
                     del grads
                 else:
-                    net.backward(dlogits, opt._apply)
+                    net.backward(dlogits, opt)
                 opt.step()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
     grad_bytes = 8 * sum(p.size for p in net.parameters())
-    workspace_bytes = net._workspace.nbytes
-    assert workspace_bytes == 8 * HEAD_FLOATS
-    assert peaks[0] - peaks[1] >= 0.9 * (grad_bytes - workspace_bytes)
+    assert peaks[0] - peaks[1] >= 0.9 * (grad_bytes - 8 * HEAD_FLOATS)
 
 
 def test_init_streams_ignore_head_width():

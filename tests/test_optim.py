@@ -15,8 +15,15 @@ def param(value):
     return t
 
 
+def fold(opt, params, grads):
+    """What a layer's backward does: g + mu * v into each lent velocity."""
+    for v, g in zip(opt._lend(params), grads, strict=True):
+        v *= opt.momentum
+        v += g
+
+
 def step_with_grad(opt, t, g):
-    opt._apply([t], [np.array([float(g)])])
+    fold(opt, [t], [np.array([float(g)])])
     opt.step()
 
 
@@ -63,31 +70,28 @@ def test_step_requires_gradients():
         opt.step()
 
 
-def test_step_skips_what_apply_updated_then_clears_the_marks():
-    a, b = param(1.0), param(1.0)
-    opt = SgdMomentum([a, b], lr=0.1, momentum=0.0)
+def test_a_refused_step_moves_nothing_and_clears_the_marks():
     missing = "optimizer step with missing gradient"
-    # _apply updates at once; step only checks that nothing was left out
-    opt._apply([b], [np.array([4.0])])
-    assert b.data[0] == pytest.approx(0.6)
-    with pytest.raises(RuntimeError, match=missing):
+    for lent in ([], [1], [0, 2]):  # no velocity lent, one, or all but one
+        params = [param(1.0), Tensor(np.ones((2, 3))), param(-2.0)]
+        before = [p.data.copy() for p in params]
+        opt = SgdMomentum(params, lr=0.1, momentum=0.9)
+        fold(opt, [params[i] for i in lent], [np.full(params[i].shape, 4.0) for i in lent])
+        with pytest.raises(RuntimeError, match=missing):
+            opt.step()
+        assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
+        if lent:  # the marks are cleared: the other velocities alone are refused too
+            rest = [p for i, p in enumerate(params) if i not in lent]
+            fold(opt, rest, [np.zeros(p.shape) for p in rest])
+            with pytest.raises(RuntimeError, match=missing):
+                opt.step()
+            assert all(p.data.tobytes() == b.tobytes() for p, b in zip(params, before))
+        fold(opt, params, [np.full(p.shape, 2.0) for p in params])
         opt.step()
-    assert a.data[0] == 1.0
-    opt._apply([a, b], [np.array([2.0]), np.array([4.0])])
-    opt.step()
-    assert a.data[0] == pytest.approx(0.8) and b.data[0] == pytest.approx(0.2)
-    with pytest.raises(RuntimeError, match=missing):  # step cleared the marks
-        opt.step()
-
-
-def test_apply_takes_one_gradient_of_its_shape_per_parameter():
-    t = param(1.0)
-    opt = SgdMomentum([t], lr=0.1, momentum=0.0)
-    with pytest.raises(ValueError, match="gradient shape"):
-        opt._apply([t], [np.ones(2)])
-    with pytest.raises(ValueError):
-        opt._apply([t], [])
-    assert t.data[0] == 1.0
+        # a refused step keeps what was folded into the velocities
+        for i, (p, b) in enumerate(zip(params, before)):
+            v = 2.0 + 0.9 * (4.0 if i in lent else 0.0)
+            assert p.data.tobytes() == (b - 0.1 * v).tobytes()
 
 
 CHUNK_SIZES = [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7]
@@ -109,7 +113,7 @@ def test_chunked_step_is_bit_identical_to_reference(size, momentum, lr, seed):
     opt = SgdMomentum(ours, lr=lr, momentum=momentum)
     for _ in range(3):
         grads = [rng.standard_normal(s) for s in shapes]
-        opt._apply(ours, grads)
+        fold(opt, ours, grads)
         opt.step()
         reference_step(ref, ref_v, grads, lr, momentum)
         for a, b, va, vb in zip(ours, ref, opt.velocity, ref_v):
@@ -121,8 +125,10 @@ def test_step_rejects_non_contiguous_parameter():
     t = Tensor(np.zeros((4, 4)))
     opt = SgdMomentum([t], lr=0.1, momentum=0.0)
     t.data = np.zeros((4, 4)).T
-    with pytest.raises(ValueError):
-        opt._apply([t], [np.ones((4, 4))])
+    fold(opt, [t], [np.ones((4, 4))])
+    with pytest.raises(ValueError, match="C-contiguous"):
+        opt.step()
+    assert not t.data.any()
 
 
 def test_optimizer_rejects_bad_hyperparams():

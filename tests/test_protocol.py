@@ -173,7 +173,7 @@ class TestEvaluate:
                                                   d.labels[rows])
         evaluate(net, d)
         with pytest.raises(RuntimeError, match="backward called without forward"):
-            net.backward(dlogits, lambda params, grads: None)
+            net.backward(dlogits, memlab.SgdMomentum(net.parameters(), 0.1, 0.9))
 
     def test_coded_slices_decode_into_a_scratch_of_the_widest_slice(self):
         # 4096 values a sample make 128-row slices: the 256-row batch runs

@@ -40,9 +40,12 @@ _COLS_BLOCK_BYTES = 1 << 20
 
 # OpenBLAS's threaded dgemm splits the inner dimension K into panels of at
 # most _GEMM_Q and adds their products into C in order; its single-threaded
-# dgemm splits some K differently.  With the OpenBLAS 0.3.31
-# (Haswell kernels) that numpy 2.4 bundles, x @ W changes bits with the
-# thread count when K > _GEMM_Q and K % _GEMM_ALIGN != 0: the products
+# dgemm splits some K differently.  With the OpenBLAS 0.3.31 that numpy
+# 2.4 bundles, a DYNAMIC_ARCH build that picks its kernels by CPU, run on
+# its SkylakeX core (scipy_openblas_get_corename64_; config "OpenBLAS
+# 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY SkylakeX
+# MAX_THREADS=64"), x @ W changes bits with the thread count when
+# K > _GEMM_Q and K % _GEMM_ALIGN != 0: the products
 # _matmul splits.  Threaded dgemm also splits the output width N, and some
 # odd N change bits with K <= _GEMM_Q too: measured at 1 thread against 2,
 # (32, 200) @ (200, N) at N = 255 and 257 (not 256 or 384), and x' @ dy for
@@ -130,16 +133,6 @@ def _k_bounds(k: int) -> list[int]:
     bounds = list(range(0, k - _GEMM_Q + 1, _GEMM_Q))
     lo = bounds[-1]
     return bounds + [lo + (k - lo + 1) // 2, k]
-
-
-def _axis_order(x: np.ndarray) -> tuple[int, ...]:
-    """x's axes from the outermost in memory to the innermost."""
-    return tuple(sorted(range(x.ndim), key=lambda d: -abs(x.strides[d])))
-
-
-def _zeros(shape: tuple[int, ...], order: tuple[int, ...]) -> np.ndarray:
-    """Zeros of logical ``shape`` laid out in memory in axis ``order``."""
-    return np.zeros([shape[d] for d in order]).transpose(np.argsort(order))
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,19 +226,40 @@ class Layer:
         return self.describe()
 
 
-class Dense(Layer):
-    def __init__(self, in_features: int, out_features: int):
-        self.in_features, self.out_features = int(in_features), int(out_features)
-        require(self, lambda v: v > 0, "positive", "in_features", "out_features")
-        self.w = Tensor._own(np.zeros((self.in_features, self.out_features)))
-        self.b = Tensor._own(np.zeros(self.out_features))
+class _Affine(Layer):
+    """A layer whose output rows are ``rows @ W + b``: weights ``w`` of
+    k*n values, seen as a (k, n) matrix, and a bias ``b`` of n.  k is the
+    product's inner dimension and the He fan-in, n its output width."""
+
+    def __init__(self, w_shape: tuple[int, ...], k: int, n: int):
+        self._k, self._n = k, n
+        self.w = Tensor._own(np.zeros(w_shape))
+        self.b = Tensor._own(np.zeros(n))
 
     def params(self) -> list[Tensor]:
         return [self.w, self.b]
 
     def init_params(self, rng: Prng) -> None:
-        self.w.data[...] = he_init(self.w.shape, self.in_features, rng).data
-        self.b.data[...] = he_init(self.b.shape, self.in_features, rng).data
+        """He-init the weights from ``rng``, and zero the bias without a draw."""
+        he_init(self.w.data, self._k, rng)
+        self.b.data.fill(0.0)
+
+    def _rows(self, in_shape: tuple[int, ...]) -> int:
+        """Product rows per sample."""
+        return 1
+
+    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
+        bounds = _k_bounds(self._k)
+        mn = self._rows(in_shape) * self._n
+        return [mn * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class Dense(_Affine):
+    def __init__(self, in_features: int, out_features: int):
+        self.in_features, self.out_features = int(in_features), int(out_features)
+        require(self, lambda v: v > 0, "positive", "in_features", "out_features")
+        super().__init__((self.in_features, self.out_features),
+                         self.in_features, self.out_features)
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(in_shape) != 1 or in_shape[0] != self.in_features:
@@ -254,10 +268,6 @@ class Dense(Layer):
                 f"{self.in_features}, got {in_shape}"
             )
         return (self.out_features,)
-
-    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
-        bounds = _k_bounds(self.in_features)
-        return [self.out_features * (hi - lo) for lo, hi in zip(bounds, bounds[1:])]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         y = _matmul(x, self.w.data)
@@ -305,25 +315,27 @@ class Flatten(Layer):
 
     The one gather of the conv stack: a channels-last input is copied into
     that order (a C-contiguous one is only reshaped), and backward puts
-    ``dy`` back in the input's memory order.
+    ``dy`` back in the input's memory order.  It saves its input.
     """
 
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         return (math.prod(in_shape),)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        return x.reshape(x.shape[0], -1), (x.shape, _axis_order(x))
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return x.reshape(x.shape[0], -1), x
 
-    def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
+    def backward(self, dy: np.ndarray, x, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
-        shape, order = saved
         if not input_grad:
             return None
-        dx = dy.reshape(shape).transpose(order)
-        return np.ascontiguousarray(dx).transpose(np.argsort(order))
+        dx = np.empty_like(x, dtype=dy.dtype)  # in x's memory order
+        dx[...] = dy.reshape(x.shape)
+        return dx
 
 
-class Conv2d(Layer):
+class Conv2d(_Affine):
+    """One product row per output position: its (C, k, k) input patch."""
+
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0):
         self.in_channels, self.out_channels = int(in_channels), int(out_channels)
@@ -331,17 +343,12 @@ class Conv2d(Layer):
         require(self, lambda v: v > 0, "positive",
                 "in_channels", "out_channels", "kernel", "stride")
         require(self, lambda v: v >= 0, "non-negative", "padding")
-        shape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
-        self.w = Tensor._own(np.zeros(shape))
-        self.b = Tensor._own(np.zeros(self.out_channels))
+        k = self.kernel
+        super().__init__((self.out_channels, self.in_channels, k, k),
+                         self.in_channels * k * k, self.out_channels)
 
-    def params(self) -> list[Tensor]:
-        return [self.w, self.b]
-
-    def init_params(self, rng: Prng) -> None:
-        fan_in = self.in_channels * self.kernel * self.kernel
-        self.w.data[...] = he_init(self.w.shape, fan_in, rng).data
-        self.b.data[...] = he_init(self.b.shape, fan_in, rng).data
+    def _rows(self, in_shape: tuple[int, ...]) -> int:
+        return math.prod(self._out_hw(*in_shape[1:]))
 
     def _out_hw(self, h: int, w: int) -> tuple[int, int]:
         k, s, p = self.kernel, self.stride, self.padding
@@ -370,12 +377,6 @@ class Conv2d(Layer):
         p = self.padding
         return max(oh * ow * c * self.kernel ** 2, (h + 2 * p) * (w + 2 * p) * c,
                    oh * ow * self.out_channels)
-
-    def forward_products(self, in_shape: tuple[int, ...]) -> list[int]:
-        oh, ow = self._out_hw(*in_shape[1:])
-        bounds = _k_bounds(self.in_channels * self.kernel ** 2)
-        return [oh * ow * self.out_channels * (hi - lo)
-                for lo, hi in zip(bounds, bounds[1:])]
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         n, c, h, w = x.shape
@@ -491,18 +492,18 @@ class MaxPool2d(Layer):
             keep = np.subtract(0, take, dtype=np.uint64)
             keep &= np.bitwise_xor(bits, v.view(np.uint64), out=v.view(np.uint64))
             bits ^= keep
-        return best, (arg, x.shape, _axis_order(x))
+        return best, (arg, x)
 
     def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
-        arg, shape, order = saved
+        arg, x = saved
         if not input_grad:
             return None
         dy = np.asarray(dy, dtype=np.float64)
         nan = dy != dy
         clear = bool(nan.any())
         dy = dy.view(np.uint64)
-        dx = _zeros(shape, order)
+        dx = np.zeros_like(x)  # in x's memory order
         # each offset adds dy where it won onto its strided view of dx;
         # walking the offsets backwards adds every cell's contributions in
         # window order, as np.add.at would, so overlapping windows (s < k)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import require
@@ -30,8 +28,8 @@ class Tensor:
     @classmethod
     def _own(cls, data: np.ndarray) -> "Tensor":
         """Wrap, without the copy, a fresh C-contiguous float64 array that
-        no caller holds: the zeros and He draws that memlab itself builds
-        (a copy of np.zeros would also touch every page of it)."""
+        no caller holds: the zeros a layer builds its parameters from (a
+        copy of np.zeros would also touch every page of it)."""
         t = cls.__new__(cls)
         t.data = data
         return t
@@ -48,19 +46,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape})"
 
 
-def he_init(shape: tuple[int, ...], fan_in: int, rng: Prng) -> Tensor:
-    """He-normal initialization: zero-mean Gaussian with variance 2/fan_in.
-
-    Rank-1 shapes are biases and come back as exact zeros (the rng is not
-    consumed for them).
-    """
+def he_init(w: np.ndarray, fan_in: int, rng: Prng) -> None:
+    """Fill ``w`` with He-normal draws: zero-mean Gaussian with variance
+    2/fan_in, taken from ``rng`` in ``w``'s row-major order."""
     require(locals(), lambda v: v > 0, "positive", "fan_in")
-    shape = tuple(int(d) for d in shape)
-    if any(d <= 0 for d in shape):
-        raise ValueError(f"dimensions must be positive, got {shape}")
-    if len(shape) == 1:
-        return Tensor._own(np.zeros(shape))
-    n = math.prod(shape)
-    w = rng.fill_gaussian(n).reshape(shape)
-    w *= np.sqrt(2.0 / fan_in)
-    return Tensor._own(w)
+    np.multiply(rng.fill_gaussian(w.size).reshape(w.shape), np.sqrt(2.0 / fan_in), out=w)

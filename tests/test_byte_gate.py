@@ -15,9 +15,12 @@ first-layer conv, a later conv whose input gradient is needed, and an
 overlapping pool.
 
 None of these hashes depends on the OpenBLAS thread count; the last test
-re-runs the gates with one BLAS thread to keep it so.
+re-runs the gates with one BLAS thread to keep it so.  They were pinned on
+the SkylakeX core of numpy's DYNAMIC_ARCH OpenBLAS, which picks its kernels
+by CPU, so a digest failure names the core and build that ran.
 """
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -29,6 +32,7 @@ import pytest
 import memlab
 from memlab import Dataset, TrainConfig, reshuffle_experiment, synth_images
 from memlab.cli import dispatch
+from memlab.nn.layers import _blas_function
 
 GATE_CFG = """\
 data.kind = synth_images
@@ -65,6 +69,15 @@ PINNED = {
 }
 
 
+def blas_core() -> str:
+    """The OpenBLAS core and config string this process runs, each
+    "unknown" where the library exports no such symbol."""
+    fns = [_blas_function((f"scipy_openblas_get_{what}64_", f"openblas_get_{what}"),
+                          [], ctypes.c_char_p) for what in ("corename", "config")]
+    core, config = (fn().decode() if fn else "unknown" for fn in fns)
+    return f"BLAS core {core} ({config}); digests pinned on SkylakeX"
+
+
 @pytest.mark.parametrize("command", sorted(PINNED))
 def test_cli_artifacts_are_byte_identical(tmp_path, capsys, command):
     cfg = tmp_path / "gate.cfg"
@@ -73,7 +86,7 @@ def test_cli_artifacts_are_byte_identical(tmp_path, capsys, command):
     assert dispatch([command, "--config", str(cfg), "--out", str(out)]) == 0
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in PINNED[command]}
-    assert digests == PINNED[command]
+    assert digests == PINNED[command], blas_core()
 
 
 CONV_ARCH = "conv:4,3,1,1 relu maxpool:3,2 conv:6,3,1,0 relu maxpool:2 flatten dense:16 relu"
@@ -91,7 +104,7 @@ def test_conv_reshuffle_parameters_are_byte_identical():
     for t in ckpt.tensors:
         h.update(repr(t.shape).encode())
         h.update(t.astype("<f8").tobytes())
-    assert h.hexdigest() == CONV_PINNED
+    assert h.hexdigest() == CONV_PINNED, blas_core()
 
 
 def test_gates_hold_with_one_blas_thread(tmp_path):

@@ -12,8 +12,8 @@ import inspect
 
 import pytest
 
-from memlab import (Conv2d, Dense, Network, SgdMomentum, Tensor, TrainConfig,
-                    save_checkpoint, synth_images, train)
+from memlab import (Conv2d, Dense, Flatten, Network, SgdMomentum, Tensor, TrainConfig,
+                    build_network, save_checkpoint, synth_images, train)
 
 POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
@@ -40,8 +40,8 @@ def test_optimizer_step_reads_its_params_from_self():
 
 
 def test_train_steps_once_per_minibatch_and_passes_dlogits_second(monkeypatch):
-    steps, samples = [], []
-    step, backward = SgdMomentum.step, Network.backward
+    steps, samples, flattens = [], [], []
+    step, backward, flatten = SgdMomentum.step, Network.backward, Flatten.backward
 
     def counted_step(self):
         steps.append(self)
@@ -51,11 +51,32 @@ def test_train_steps_once_per_minibatch_and_passes_dlogits_second(monkeypatch):
         samples.append(args[0].shape[0])
         return backward(self, *args, **kwargs)
 
+    def counted_flatten(self, *args, **kwargs):
+        flattens.append(self)
+        return flatten(self, *args, **kwargs)
+
     monkeypatch.setattr(SgdMomentum, "step", counted_step)
     monkeypatch.setattr(Network, "backward", counted_backward)
+    monkeypatch.setattr(Flatten, "backward", counted_flatten)
     d = synth_images(40, 3, seed=1, size=4)
     net = Network("flatten dense:8 relu", d.feature_shape, d.num_classes)
     net.initialize(0)
     train(net, d, None, TrainConfig(epochs=2, batch_size=16, monitor="train_loss"))
-    assert len(steps) == 2 * 3  # 16 + 16 + 8 rows an epoch
+    assert len(steps) == len(flattens) == 2 * 3  # 16 + 16 + 8 rows an epoch
     assert sum(samples) == 2 * 40
+
+
+def test_attributes_the_tracer_reads():
+    # FLOP counts read these of each Dense and Conv2d, the Dense roles
+    # Network.layers and Network.head of what build_network returns, and the
+    # step's bytes p.data.size of each optimizer parameter
+    net = build_network("conv:4,3,2,1 relu maxpool:2 flatten dense:8 relu", (1, 9, 9), 3)
+    conv, dense, head = net.layers[0], net.layers[-2], net.head
+    assert (conv.in_channels, conv.out_channels, conv.kernel) == (1, 4, 3)
+    assert conv._out_hw(9, 9) == (5, 5)
+    assert (dense.in_features, dense.out_features) == (16, 8)
+    assert (head.in_features, head.out_features) == (8, 3)
+    assert [type(layer).__name__ for layer in net.layers] == [
+        "Conv2d", "ReLU", "MaxPool2d", "Flatten", "Dense", "ReLU"]
+    opt = SgdMomentum(net.parameters(), 0.1, 0.9)
+    assert [p.data.size for p in opt.params] == [36, 4, 128, 8, 24, 3]

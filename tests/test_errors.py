@@ -44,7 +44,7 @@ CHECKS = [
      "threshold must be in (0, 1], got nan"),
     (lambda: grad_check(NET, X, Y, eps=0.0), "eps must be positive, got 0.0"),
     (lambda: grad_check(NET, X, Y, max_entries=0), "max_entries must be positive, got 0"),
-    (lambda: he_init((4, 3), 0, Prng(0)), "fan_in must be positive, got 0"),
+    (lambda: he_init(np.zeros((4, 3)), 0, Prng(0)), "fan_in must be positive, got 0"),
     (lambda: Prng(0).below(0), "bound must be positive, got 0"),
     (lambda: Prng(0).fill_below(5, -1), "bound must be positive, got -1"),
     (lambda: build_network("flatten", (4,), 0), "num_classes must be positive, got 0"),

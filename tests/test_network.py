@@ -514,6 +514,26 @@ def test_initialize_is_deterministic():
         assert np.array_equal(pa.data, pb.data)
     a.initialize(seed=6)
     assert not np.array_equal(a.parameters()[0].data, b.parameters()[0].data)
+    # re-initializing a trained net, in place, gives a fresh net's bits
+    for arch, shape in (("flatten dense:16 relu", (10,)),
+                        ("conv:2,3 relu maxpool:2 flatten dense:4 relu", (1, 6, 6))):
+        trained, fresh = build_network(arch, shape, 3), build_network(arch, shape, 3)
+        trained.initialize(seed=6)
+        opt = SgdMomentum(trained.parameters(), 0.1, 0.9)
+        for step in range(3):
+            batch = rand((8,) + shape, 5100 + step)
+            _, dlogits = softmax_cross_entropy(trained.forward(batch), np.arange(8) % 3)
+            trained.backward(dlogits, opt)
+            opt.step()
+        arrays = [p.data for p in trained.parameters()]
+        assert all(b.any() for b in arrays[1::2])
+        trained.initialize(seed=5)
+        fresh.initialize(seed=5)
+        for p, array, q in zip(trained.parameters(), arrays, fresh.parameters()):
+            assert p.data is array
+            assert p.data.tobytes() == q.data.tobytes()
+        for p in trained.parameters()[1::2]:
+            assert p.data.tobytes() == np.zeros(p.size).tobytes()
 
 
 def test_load_state_full_and_skip_head():

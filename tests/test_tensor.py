@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from memlab import Prng, SgdMomentum, Tensor
+from memlab import Conv2d, Dense, Prng, SgdMomentum, Tensor
 from memlab.nn import he_init
 
 
@@ -26,29 +26,41 @@ def test_tensor_copies_caller_arrays():
     assert np.array_equal(a, np.ones(4))
 
 
-def test_bias_init_is_exact_zero():
-    t = he_init((16,), fan_in=50, rng=Prng(0))
-    assert np.array_equal(t.data, np.zeros(16))
-
-
 def test_he_variance():
     # 100000 draws with fan_in=50: variance should sit near 2/50 = 0.04
-    t = he_init((1000, 100), fan_in=50, rng=Prng(123))
-    var = t.data.var()
-    assert abs(var - 0.04) < 0.05 * 0.04
-    assert abs(t.data.mean()) < 0.005
+    w = np.zeros((1000, 100))
+    he_init(w, fan_in=50, rng=Prng(123))
+    assert abs(w.var() - 0.04) < 0.05 * 0.04
+    assert abs(w.mean()) < 0.005
 
 
 def test_he_determinism():
-    a = he_init((20, 30), fan_in=20, rng=Prng(7))
-    b = he_init((20, 30), fan_in=20, rng=Prng(7))
-    assert np.array_equal(a.data, b.data)
+    a, b = np.zeros((20, 30)), np.ones((20, 30))
+    he_init(a, fan_in=20, rng=Prng(7))
+    he_init(b, fan_in=20, rng=Prng(7))
+    assert np.array_equal(a, b)
 
 
 def test_he_rejects_bad_args():
+    # an array has no negative dimensions, and layers refuse zero widths:
+    # fan_in is the one argument left to check
+    w = np.zeros((4, 4))
     with pytest.raises(ValueError):
-        he_init((4, 4), fan_in=0, rng=Prng(0))
-    with pytest.raises(ValueError):
-        he_init((0, 4), fan_in=2, rng=Prng(0))
-    with pytest.raises(ValueError):
-        he_init((4, -1), fan_in=2, rng=Prng(0))
+        he_init(w, fan_in=0, rng=Prng(0))
+    assert not w.any()
+
+
+def test_bias_init_is_exact_zero():
+    # init_params draws the weights as he_init does from the layer's stream,
+    # and zeroes the bias, trained or not, without a draw: the stream stops
+    # where the weights' draws left it
+    for layer in (Dense(6, 5), Conv2d(2, 3, 3)):
+        w, b = layer.params()
+        b.data[...] = -1.5
+        rng, ref = Prng(9), Prng(9)
+        layer.init_params(rng)
+        fan_in = w.size // b.size
+        draws = ref.fill_gaussian(w.size).reshape(w.shape) * np.sqrt(2.0 / fan_in)
+        assert w.data.tobytes() == draws.tobytes()
+        assert b.data.tobytes() == np.zeros(b.size).tobytes()
+        assert rng.state == ref.state

@@ -28,6 +28,7 @@ from .errors import (
     CountMismatchError,
     MemlabError,
     NonFiniteError,
+    RangeError,
     ShapeError,
     TrainingDivergedError,
     TruncatedError,
@@ -84,7 +85,7 @@ __all__ = [
     "BadMagicError", "Checkpoint", "ConfigError", "Conv2d",
     "CountMismatchError", "Dataset", "DatasetSpec", "Dense", "EpochRecord",
     "Flatten", "Labeling", "MaxPool2d", "MemlabError", "MetricsLog",
-    "Network", "NonFiniteError", "PlateauScheduler", "Prng", "ReLU",
+    "Network", "NonFiniteError", "PlateauScheduler", "Prng", "RangeError", "ReLU",
     "RunSpec", "SgdMomentum", "ShapeError", "SplitSpec", "Tensor",
     "TrainConfig", "TrainingDivergedError", "TransferReport",
     "TruncatedError", "UsageError", "VersionError", "assign_random_labels",

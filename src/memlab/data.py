@@ -59,13 +59,15 @@ class Dataset:
     training step or an evaluation batch reads.  Any other data
     (synth_blobs, or an array passed to this constructor, uint8 included)
     is stored as float64.  Either way ``samples`` and ``rows`` give the
-    same float64 values.
+    same float64 values.  The constructor stores read-only copies of the
+    samples and labels it is given: the caller's arrays stay writable, and
+    later writes to them do not reach the dataset.
     """
 
     def __init__(self, samples, labels, num_classes: int,
                  labeling: Labeling = Labeling.true()):
-        self._set(np.asarray(samples, dtype=np.float64), labels, num_classes,
-                  labeling)
+        self._set(np.array(samples, dtype=np.float64),
+                  np.array(labels, dtype=np.int64), num_classes, labeling)
 
     @classmethod
     def _stored(cls, data: np.ndarray, labels, num_classes: int,
@@ -329,7 +331,7 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
         out += noise.reshape(out.shape)
 
     _fill_blocks(n, dim, fill)
-    return Dataset(samples, labels, num_classes)
+    return Dataset._stored(samples, labels, num_classes)
 
 
 def synth_images(n: int, num_classes: int, seed: int, size: int = 28,

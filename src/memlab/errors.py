@@ -55,13 +55,19 @@ class UsageError(MemlabError):
     """Command line arguments are malformed (exit code 1 territory)."""
 
 
+class RangeError(MemlabError, ValueError):
+    """A setting or argument lies outside its allowed range (require).
+
+    Also a ValueError, so a handler of ValueError catches it too."""
+
+
 def require(obj, ok, rule: str, *names: str) -> None:
     """Range check whose message starts with the name, for blame: ``names``
     are attributes of ``obj``, or keys of a dict such as a function's locals()."""
     for name in names:
         value = obj[name] if isinstance(obj, dict) else getattr(obj, name)
         if not ok(value):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+            raise RangeError(f"{name} must be {rule}, got {value!r}")
 
 
 def u64(value: int) -> bool:

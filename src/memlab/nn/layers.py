@@ -333,39 +333,62 @@ class Flatten(Layer):
         return dx
 
 
-class Conv2d(_Affine):
+class _Windows(Layer):
+    """A layer over the k*k windows of its (C, H, W) input at stride s,
+    the input zero-padded by p on each side of H and W."""
+
+    def __init__(self, kernel: int, stride: int, padding: int):
+        self.kernel, self.stride, self.padding = int(kernel), int(stride), int(padding)
+        require(self, lambda v: v > 0, "positive", "kernel", "stride")
+        require(self, lambda v: v >= 0, "non-negative", "padding")
+
+    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
+        k, s, p = self.kernel, self.stride, self.padding
+        return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+
+    def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        """(C, oh, ow): the input's channels over the grid of windows."""
+        if len(in_shape) != 3:
+            raise ShapeError(
+                f"{self.describe()} expects (channels, H, W) input, got {in_shape}"
+            )
+        oh, ow = self._out_hw(in_shape[1], in_shape[2])
+        if oh <= 0 or ow <= 0:
+            raise ShapeError(
+                f"{self.describe()}: input {in_shape} smaller than window"
+            )
+        return (in_shape[0], oh, ow)
+
+    def _windows(self, oh: int, ow: int) -> list[tuple[int, int, slice, slice]]:
+        """For each window offset (i, j), in row-major order: i, j and the
+        strided H and W slices of the (padded) input that hold element
+        (i, j) of every window of the (oh, ow) grid at once."""
+        k, s = self.kernel, self.stride
+        return [(i, j, slice(i, i + s * oh, s), slice(j, j + s * ow, s))
+                for i in range(k) for j in range(k)]
+
+
+class Conv2d(_Affine, _Windows):
     """One product row per output position: its (C, k, k) input patch."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
                  stride: int = 1, padding: int = 0):
         self.in_channels, self.out_channels = int(in_channels), int(out_channels)
-        self.kernel, self.stride, self.padding = int(kernel), int(stride), int(padding)
-        require(self, lambda v: v > 0, "positive",
-                "in_channels", "out_channels", "kernel", "stride")
-        require(self, lambda v: v >= 0, "non-negative", "padding")
+        require(self, lambda v: v > 0, "positive", "in_channels", "out_channels")
+        _Windows.__init__(self, kernel, stride, padding)
         k = self.kernel
-        super().__init__((self.out_channels, self.in_channels, k, k),
+        _Affine.__init__(self, (self.out_channels, self.in_channels, k, k),
                          self.in_channels * k * k, self.out_channels)
 
     def _rows(self, in_shape: tuple[int, ...]) -> int:
         return math.prod(self._out_hw(*in_shape[1:]))
 
-    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s, p = self.kernel, self.stride, self.padding
-        oh = (h + 2 * p - k) // s + 1
-        ow = (w + 2 * p - k) // s + 1
-        return oh, ow
-
     def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(in_shape) != 3 or in_shape[0] != self.in_channels:
+        c, oh, ow = super().output_shape(in_shape)
+        if c != self.in_channels:
             raise ShapeError(
                 f"{self.describe()} expects (channels={self.in_channels}, H, W) "
                 f"input, got {in_shape}"
-            )
-        oh, ow = self._out_hw(in_shape[1], in_shape[2])
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(
-                f"{self.describe()}: input {in_shape} smaller than kernel"
             )
         return (self.out_channels, oh, ow)
 
@@ -380,7 +403,7 @@ class Conv2d(_Affine):
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         n, c, h, w = x.shape
-        k, s, p = self.kernel, self.stride, self.padding
+        k, p = self.kernel, self.padding
         oh, ow = self._out_hw(h, w)
         # zero-padded channels-last copy: at stride 1 the (ow, C) block of a
         # kernel offset is one run in it
@@ -393,9 +416,8 @@ class Conv2d(_Affine):
         step = max(1, _COLS_BLOCK_BYTES // (oh * ow * c * k * k * 8))
         for lo in range(0, n, step):
             block, src = cols[lo:lo + step], xt[lo:lo + step]
-            for i in range(k):
-                for j in range(k):
-                    block[..., i, j] = src[:, i:i + s * oh:s, j:j + s * ow:s]
+            for i, j, hs, ws in self._windows(oh, ow):
+                block[..., i, j] = src[:, hs, ws]
         cols = cols.reshape(n * oh * ow, -1)
         wmat = self.w.data.reshape(self.out_channels, -1)
         y = _matmul(cols, wmat.T)
@@ -414,7 +436,7 @@ class Conv2d(_Affine):
     def backward(self, dy: np.ndarray, saved, velocity: list[np.ndarray], mu: float,
                  input_grad: bool = True) -> np.ndarray | None:
         cols, (n, h, w), (oh, ow) = saved
-        k, s, p = self.kernel, self.stride, self.padding
+        k, p = self.kernel, self.padding
         # a view of a channels-last dy, a copy of any other; of one image,
         # column-major as the view of an (N, C, H, W) dy is, since the
         # products and the bias sum below give other bits in the other order
@@ -431,9 +453,8 @@ class Conv2d(_Affine):
         dcols = _matmul(dyc, wmat).reshape(n, oh, ow, self.in_channels, k, k)
         dxp = np.zeros((n, h + 2 * p, w + 2 * p, self.in_channels))
         # scatter each kernel offset back onto the (strided) input positions
-        for i in range(k):
-            for j in range(k):
-                dxp[:, i:i + s * oh:s, j:j + s * ow:s] += dcols[..., i, j]
+        for i, j, hs, ws in self._windows(oh, ow):
+            dxp[:, hs, ws] += dcols[..., i, j]
         if p > 0:
             dxp = np.ascontiguousarray(dxp[:, p:p + h, p:p + w])
         return dxp.transpose(0, 3, 1, 2)
@@ -443,50 +464,27 @@ class Conv2d(_Affine):
                 f"k={self.kernel}, s={self.stride}, p={self.padding})")
 
 
-class MaxPool2d(Layer):
+class MaxPool2d(_Windows):
+    """Windows that lie fully inside the input: no padding."""
+
     def __init__(self, kernel: int, stride: int | None = None):
-        self.kernel = int(kernel)
-        self.stride = self.kernel if stride is None else int(stride)
-        require(self, lambda v: v > 0, "positive", "kernel", "stride")
-
-    def _out_hw(self, h: int, w: int) -> tuple[int, int]:
-        k, s = self.kernel, self.stride
-        return (h - k) // s + 1, (w - k) // s + 1
-
-    def output_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if len(in_shape) != 3:
-            raise ShapeError(
-                f"{self.describe()} expects (channels, H, W) input, got {in_shape}"
-            )
-        oh, ow = self._out_hw(in_shape[1], in_shape[2])
-        if oh <= 0 or ow <= 0:
-            raise ShapeError(
-                f"{self.describe()}: input {in_shape} smaller than window"
-            )
-        return (in_shape[0], oh, ow)
-
-    def _windows(self, oh: int, ow: int) -> list[tuple]:
-        """Index of element (i, j) of every window at once, for each window
-        offset i*k+j in row-major order."""
-        k, s = self.kernel, self.stride
-        return [(..., slice(i, i + s * oh, s), slice(j, j + s * ow, s))
-                for i in range(k) for j in range(k)]
+        super().__init__(kernel, kernel if stride is None else stride, 0)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
         # float64, so the maximum's bits can be selected as uint64 words
-        x = np.asarray(x, dtype=np.float64)
-        views = self._windows(*self._out_hw(*x.shape[2:]))
+        x, k = np.asarray(x, dtype=np.float64), self.kernel
+        (_, _, hs, ws), *rest = self._windows(*self._out_hw(*x.shape[2:]))
         # copies in x's memory order, so the output keeps it
-        best = x[views[0]].copy(order="K")
+        best = x[..., hs, ws].copy(order="K")
         bits = best.view(np.uint64)
-        arg = np.zeros_like(best, dtype=np.min_scalar_type(len(views) - 1))
-        for off, view in enumerate(views[1:], 1):
-            v = x[view].copy(order="K")  # two passes read it: cheaper contiguous
+        arg = np.zeros_like(best, dtype=np.min_scalar_type(k * k - 1))
+        for i, j, hs, ws in rest:
+            v = x[..., hs, ws].copy(order="K")  # two passes read it: cheaper contiguous
             # argmax's rule: the first strictly greater element, or the first
             # NaN; a NaN best stays, since best == best is then false
             take = np.logical_and(best == best, ~(v <= best))
             # offsets only grow, so the max keeps the last offset taken
-            np.maximum(arg, np.multiply(take, off, dtype=arg.dtype), out=arg)
+            np.maximum(arg, np.multiply(take, i * k + j, dtype=arg.dtype), out=arg)
             # bitwise select (as in ReLU) keeps v's exact bits where take
             # holds, without the branch a random mask would mispredict
             keep = np.subtract(0, take, dtype=np.uint64)
@@ -508,10 +506,10 @@ class MaxPool2d(Layer):
         # walking the offsets backwards adds every cell's contributions in
         # window order, as np.add.at would, so overlapping windows (s < k)
         # sum in the same order and to the same bits
-        views = self._windows(*arg.shape[2:])
-        for off in reversed(range(len(views))):
-            cell = dx[views[off]]
-            won = arg == off
+        k = self.kernel
+        for i, j, hs, ws in reversed(self._windows(*arg.shape[2:])):
+            cell = dx[..., hs, ws]
+            won = arg == i * k + j
             if clear:
                 # np.add.at answers NaN + NaN with the incoming NaN, which a
                 # ufunc loop does not promise: zero a cell a NaN lands on

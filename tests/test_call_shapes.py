@@ -12,8 +12,8 @@ import inspect
 
 import pytest
 
-from memlab import (Conv2d, Dense, Flatten, Network, SgdMomentum, Tensor, TrainConfig,
-                    build_network, save_checkpoint, synth_images, train)
+from memlab import (Conv2d, Dense, Flatten, MaxPool2d, Network, ReLU, SgdMomentum, Tensor,
+                    TrainConfig, build_network, save_checkpoint, synth_images, train)
 
 POSITIONAL = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
 
@@ -31,6 +31,14 @@ def test_second_positional_argument(fn, second):
     params = list(inspect.signature(fn).parameters.values())
     assert [p.name for p in params[1:2]] == [second]
     assert all(p.kind in POSITIONAL for p in params[:2])
+
+
+@pytest.mark.parametrize("cls", [Dense, Conv2d, ReLU, Flatten, MaxPool2d],
+                         ids=lambda cls: cls.__name__)
+def test_each_layer_defines_its_own_forward_and_backward(cls):
+    # the tracer wraps the functions in vars(cls) of each public class, so
+    # a method inherited from a private base records no layers.X.* span
+    assert {"forward", "backward"} <= set(vars(cls))
 
 
 def test_optimizer_step_reads_its_params_from_self():

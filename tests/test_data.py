@@ -254,6 +254,15 @@ class TestDataset:
         with pytest.raises(ValueError):
             d.labels[0] = 1
 
+    def test_constructor_copies_the_callers_arrays(self):
+        b, labels = np.zeros((2, 3)), np.array([0, 1], dtype=np.int64)
+        v = b[:]
+        d = Dataset(v, labels, 2)
+        assert b.flags.writeable and v.flags.writeable and labels.flags.writeable
+        b[0, 0], labels[0] = 5.0, 1
+        assert d.samples[0, 0] == 0.0 and d.labels[0] == 0
+        assert not d.samples.flags.writeable and not d.labels.flags.writeable
+
     def test_coded_samples_are_the_read_only_decode(self):
         d = synth_images(30, 5, seed=2, size=6)
         assert d.codes.dtype == np.uint8 and d.codes.shape == (30, 6, 6)

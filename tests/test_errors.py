@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from memlab import (Dataset, MetricsLog, Prng, TrainConfig, build_network,
+from memlab import (Dataset, MemlabError, MetricsLog, Prng, TrainConfig, build_network,
                     epochs_to_threshold, grad_check, reshuffle_experiment,
                     reshuffle_labels, synth_blobs, synth_images)
 from memlab.nn import he_init
@@ -62,6 +62,7 @@ CHECK_IDS = ["synth_blobs spread nan", "synth_blobs spread inf", "synth_blobs sp
 
 @pytest.mark.parametrize("call, message", CHECKS, ids=CHECK_IDS)
 def test_entry_point_names_the_argument_its_rule_and_value(call, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
         call()
+    assert isinstance(info.value, MemlabError)
 

@@ -174,9 +174,14 @@ def test_conv_output_shape():
     layer = Conv2d(1, 4, kernel=5, stride=2, padding=1)
     # (28 + 2 - 5) // 2 + 1 = 13
     assert layer.output_shape((1, 28, 28)) == (4, 13, 13)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape(
+            "Conv2d(1->4, k=5, s=2, p=1) expects (channels, H, W) input, got (28, 28)")):
+        layer.output_shape((28, 28))
+    with pytest.raises(ShapeError, match=re.escape(
+            "Conv2d(1->4, k=5, s=2, p=1) expects (channels=1, H, W) input, got (2, 28, 28)")):
         layer.output_shape((2, 28, 28))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape(
+            "Conv2d(1->1, k=9, s=1, p=0): input (1, 4, 4) smaller than window")):
         Conv2d(1, 1, kernel=9).output_shape((1, 4, 4))
 
 
@@ -257,9 +262,11 @@ def test_maxpool_overlapping_windows_accumulate():
 
 
 def test_maxpool_shape_errors():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape(
+            "MaxPool2d(k=2, s=2) expects (channels, H, W) input, got (4, 4)")):
         MaxPool2d(2).output_shape((4, 4))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=re.escape(
+            "MaxPool2d(k=5, s=5): input (1, 4, 4) smaller than window")):
         MaxPool2d(5).output_shape((1, 4, 4))
 
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadMagicError, CountMismatchError, MemlabError, ShapeError,
-                     TruncatedError, require, u64)
+from .errors import (BadMagicError, CountMismatchError, MemlabError, RangeError,
+                     ShapeError, TruncatedError, require, u64)
 from .prng import Prng, _gaussian_writers, derive_seed
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -84,19 +84,17 @@ class Dataset:
         self.num_classes = num_classes
         self.labeling = labeling
         if data.ndim < 2:
-            raise ValueError("samples must be (n, ...feature dims)")
+            raise RangeError("samples must be (n, ...feature dims)")
         n = data.shape[0]
         if n < 1:
-            raise ValueError("dataset must contain at least one sample")
+            raise RangeError("dataset must contain at least one sample")
         if self.labels.shape != (n,):
-            raise ValueError(
+            raise RangeError(
                 f"{n} samples but {self.labels.shape[0] if self.labels.ndim == 1 else '?'} labels"
             )
         require(self, lambda v: v > 0, "positive", "num_classes")
         if self.labels.min() < 0 or self.labels.max() >= self.num_classes:
-            raise ValueError(
-                f"labels must lie in [0, {self.num_classes})"
-            )
+            raise RangeError(f"labels must lie in [0, {self.num_classes})")
         data.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -142,7 +140,7 @@ class Dataset:
     def take(self, n: int) -> "Dataset":
         """First n samples (deterministic subsetting of a big corpus)."""
         if not 1 <= n <= self.n:
-            raise ValueError(f"cannot take {n} of {self.n} samples")
+            raise RangeError(f"cannot take {n} of {self.n} samples")
         return Dataset._stored(self._data[:n].copy(), self.labels[:n].copy(),
                                self.num_classes, self.labeling)
 
@@ -234,7 +232,7 @@ def write_idx(d: Dataset, images_path, labels_path) -> None:
     nearest of 256 gray levels, which gives the same bytes for k / 255.
     """
     if len(d.feature_shape) != 2:
-        raise ValueError(f"IDX images must be (n, H, W), got {(d.n, *d.feature_shape)}")
+        raise RangeError(f"IDX images must be (n, H, W), got {(d.n, *d.feature_shape)}")
     top = int(d.labels.max())
     if top > 255:
         raise MemlabError(f"IDX labels are one byte: label {top} is above 255")
@@ -314,7 +312,7 @@ def synth_blobs(n: int, num_classes: int, dim: int, spread: float,
     require(locals(), lambda v: v >= 1, ">= 1", "dim")
     require(locals(), lambda v: v > 0, "positive", "num_classes")
     if n < num_classes:
-        raise ValueError(f"need n >= num_classes, got n={n}, classes={num_classes}")
+        raise RangeError(f"need n >= num_classes, got n={n}, classes={num_classes}")
     rng = Prng(seed)
     centers = rng.fill_gaussian(num_classes * dim).reshape(num_classes, dim)
     labels = rng.fill_below(n, num_classes)
@@ -430,7 +428,7 @@ def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     """Seeded permutation partition into (train, val); provenance inherited."""
     n_train = int(d.n * spec.train_fraction)
     if n_train < 1 or n_train >= d.n:
-        raise ValueError(
+        raise RangeError(
             f"train_fraction {spec.train_fraction} leaves an empty side "
             f"for n={d.n}"
         )

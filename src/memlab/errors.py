@@ -56,9 +56,9 @@ class UsageError(MemlabError):
 
 
 class RangeError(MemlabError, ValueError):
-    """A setting or argument lies outside its allowed range (require).
-
-    Also a ValueError, so a handler of ValueError catches it too."""
+    """A setting, argument or input lies outside what it may be: require's
+    range checks, and every refusal of a caller's value.  Also a
+    ValueError, so a handler of ValueError catches it too."""
 
 
 def require(obj, ok, rule: str, *names: str) -> None:

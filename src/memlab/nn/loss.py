@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import RangeError, ShapeError
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -23,7 +23,7 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float
             f"labels must have shape ({n},) to match logits, got {labels.shape}"
         )
     if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(
+        raise RangeError(
             f"labels must lie in [0, {k}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ..errors import ShapeError, require
+from ..errors import RangeError, ShapeError, require
 from ..prng import Prng, derive_seed
 from .layers import Conv2d, Dense, Flatten, Layer, MaxPool2d, ReLU
 from .tensor import Tensor
@@ -137,7 +137,7 @@ class Network:
         parameter's gradient g into the velocity v that the optimizer
         ``opt`` keeps for it: ``opt._lend`` hands a layer its parameters'
         velocities, and the layer writes ``g + mu*v`` into them (see
-        ``layers._grad_into``).  No gradient outlives its layer's backward,
+        ``blas._grad_into``).  No gradient outlives its layer's backward,
         and no weight moves: ``opt.step()`` then does ``p <- p - lr*v``.
         The first layer with parameters (the head, when no other has any)
         and the layers below it are asked for no input gradient: nothing
@@ -148,7 +148,7 @@ class Network:
         forward, a second one after one forward, or one after a forward
         with ``cache`` false raises RuntimeError.  A ``dlogits`` that is not
         (rows of that forward, num_classes) raises ShapeError, and an
-        ``opt`` that does not hold every parameter raises ValueError naming
+        ``opt`` that does not hold every parameter raises RangeError naming
         a layer whose parameters it lacks.  Both are raised before any
         layer runs, and leave that forward's backward to a later call.
         """
@@ -161,7 +161,7 @@ class Network:
                              f"{(rows, self.num_classes)}")
         for i, layer in enumerate(self.all_layers):
             if any(id(p) not in opt._index for p in layer.params()):
-                raise ValueError(f"layer {i} ({layer.describe()}): parameters "
+                raise RangeError(f"layer {i} ({layer.describe()}): parameters "
                                  "the optimizer was not built on")
         self._tape = None
         # popped, each saved value is let go once its layer has used it
@@ -205,14 +205,14 @@ def _layer(token: str, shape: tuple[int, ...]) -> tuple[Layer, str]:
     constructors' defaults, and its canonical token read back from it."""
     kind, colon, spec = token.partition(":")
     if kind not in _KINDS:
-        raise ValueError(f"unknown layer kind {kind!r}")
+        raise RangeError(f"unknown layer kind {kind!r}")
     least, most, usage = _KINDS[kind]
     try:
         args = [int(a) for a in spec.split(",")] if colon else []
     except ValueError:
         args = None
     if args is None or not least <= len(args) <= most:
-        raise ValueError(f"bad arguments; the form is {usage}")
+        raise RangeError(f"bad arguments; the form is {usage}")
     if kind == "flatten":
         return Flatten(), kind
     if kind == "relu":
@@ -232,7 +232,7 @@ def _layer(token: str, shape: tuple[int, ...]) -> tuple[Layer, str]:
 def _input_dims(input_shape: tuple[int, ...]) -> tuple[int, ...]:
     dims = tuple(int(d) for d in input_shape)
     if not dims or min(dims) <= 0:
-        raise ValueError(f"input dimensions must be positive: {dims}")
+        raise RangeError(f"input dimensions must be positive: {dims}")
     return dims
 
 
@@ -246,12 +246,12 @@ def parse_descriptor(descriptor: str) -> tuple[str, tuple[int, ...], int]:
     tokens = descriptor.split()
     if len(tokens) < 2 or not tokens[0].startswith("in:") \
             or not tokens[-1].startswith("head:"):
-        raise ValueError(f"bad architecture descriptor {descriptor!r}")
+        raise RangeError(f"bad architecture descriptor {descriptor!r}")
     try:
         input_shape = tuple(int(d) for d in tokens[0][3:].split("x"))
         num_classes = int(tokens[-1][5:])
     except ValueError:
-        raise ValueError(f"bad architecture descriptor {descriptor!r}") from None
+        raise RangeError(f"bad architecture descriptor {descriptor!r}") from None
     return " ".join(tokens[1:-1]), input_shape, num_classes
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import NonFiniteError, require, u64
+from ..errors import NonFiniteError, RangeError, require, u64
 from .tensor import Tensor
 
 MONITORS = ("train_loss", "val_accuracy")
@@ -89,14 +89,14 @@ class SgdMomentum:
         """Move every parameter by p <- p - lr*v and clear the marks.
 
         RuntimeError unless a backward has lent every velocity since the
-        last step, and ValueError unless every parameter's array is
+        last step, and RangeError unless every parameter's array is
         C-contiguous; either way no parameter moves, and the marks clear.
         """
         done, self._done = self._done, set()
         if len(done) != len(self.params):
             raise RuntimeError("optimizer step with missing gradient")
         if not all(p.data.flags.c_contiguous for p in self.params):
-            raise ValueError("parameter data must be C-contiguous")
+            raise RangeError("parameter data must be C-contiguous")
         for p, v in zip(self.params, self.velocity):
             flat_p, flat_v = p.data.reshape(-1), v.reshape(-1)
             for lo in range(0, flat_v.size, _CHUNK):

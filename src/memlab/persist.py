@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     MemlabError,
     NonFiniteError,
+    RangeError,
     ShapeError,
     VersionError,
     require,
@@ -201,10 +202,10 @@ class DatasetSpec:
         require(self, u64, "in [0, 2**64)", "seed")
         # checks across fields name the field to blame first, then the others
         if self.kind == "synth_blobs" and self.n < self.classes:
-            raise ValueError(f"n must be >= classes for kind synth_blobs, "
+            raise RangeError(f"n must be >= classes for kind synth_blobs, "
                              f"got n={self.n}, classes={self.classes}")
         if self.kind in _SYNTH and self.take > self.n:
-            raise ValueError(f"take must be <= n, got take={self.take}, n={self.n}")
+            raise RangeError(f"take must be <= n, got take={self.take}, n={self.n}")
         if self.kind == "idx":
             require(self, bool, "set for kind idx", "images", "labels")
 

@@ -107,10 +107,9 @@ class Prng:
         self.state = int(seed) & _MASK64
 
     def next_u64(self) -> int:
+        z = splitmix64(self.state)
         self.state = (self.state + _GOLDEN) & _MASK64
-        z = ((self.state ^ (self.state >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return z
 
     def fill_u64(self, n: int) -> np.ndarray:
         """Next ``n`` outputs as a uint64 array."""

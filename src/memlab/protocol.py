@@ -9,7 +9,6 @@ from global state.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import math
 from dataclasses import dataclass, field, replace
@@ -18,7 +17,7 @@ import numpy as np
 
 from .data import (Dataset, SplitSpec, _usable_cores, assign_random_labels,
                    reshuffle_labels, split)
-from .errors import ConfigError, ShapeError, TrainingDivergedError, require
+from .errors import ConfigError, RangeError, ShapeError, TrainingDivergedError, require
 from .nn import (
     Network,
     PlateauScheduler,
@@ -29,7 +28,7 @@ from .nn import (
     predictions,
     softmax_cross_entropy,
 )
-from .nn.layers import _GEMM_SMALL, _blas_function
+from .nn.blas import _GEMM_SMALL, _blas_thread_setter
 from .prng import Prng, derive_seed
 
 SPLITS = ("train", "val")
@@ -87,7 +86,7 @@ class MetricsLog:
         key = (rec.round, rec.split)
         want = self._next_epoch.get(key, 1)
         if rec.epoch != want:
-            raise ValueError(
+            raise RangeError(
                 f"round {rec.round} {rec.split} epoch {rec.epoch} breaks "
                 f"contiguity (expected {want})"
             )
@@ -119,7 +118,7 @@ class MetricsLog:
     def final(self, split: str = "val") -> EpochRecord:
         rows = self.rows(split=split)
         if not rows:
-            raise ValueError(f"log has no {split} records")
+            raise RangeError(f"log has no {split} records")
         return rows[-1]
 
 
@@ -369,7 +368,7 @@ def epochs_to_threshold(log: MetricsLog, round: int, threshold: float) -> int | 
     check_threshold(threshold)
     rows = log.rows(round=round, split="train")
     if not rows:
-        raise ValueError(f"log has no round {round}")
+        raise RangeError(f"log has no round {round}")
     for rec in rows:
         if rec.accuracy >= threshold:
             return rec.epoch
@@ -416,18 +415,6 @@ def _transfer_pair(source_d: Dataset, t_train: Dataset, t_val: Dataset,
         raise RuntimeError("paired runs consumed different data orders; pairing is broken")
     # the last val record is evaluate() on the final weights of each arm
     return base_log.final("val").accuracy, ft_log.final("val").accuracy, fingerprints
-
-
-# the OpenBLAS entry points that set its thread count: numpy's bundled
-# build first, then OpenBLAS's own 64-bit and 32-bit integer builds
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _blas_thread_setter():
-    """The function that sets the thread count of the OpenBLAS numpy
-    loaded, or None when none is found."""
-    return _blas_function(_BLAS_SET_THREADS, [ctypes.c_int])
 
 
 def _seed_workers(job, count: int):
@@ -545,7 +532,7 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     with its type, naming its seed.
     """
     if not seeds:
-        raise ValueError("need at least one seed")
+        raise RangeError("need at least one seed")
     if ft_cfg.epochs < 1:
         raise ConfigError("compare needs at least one fine-tune epoch: each "
                           "arm is scored by its last validation epoch")

@@ -8,6 +8,7 @@ labeling provenance when present.
 
 from __future__ import annotations
 
+from .errors import RangeError
 from .protocol import MetricsLog
 
 _W, _H = 720, 440
@@ -28,7 +29,7 @@ def _escape(text: str) -> str:
 def render_svg(log: MetricsLog) -> bytes:
     """The plot as bytes; raises on an empty log."""
     if not log.records:
-        raise ValueError("cannot plot an empty log")
+        raise RangeError("cannot plot an empty log")
     rounds = log.rounds()
 
     # global x position: rounds concatenated, each spanning its epoch count

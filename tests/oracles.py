@@ -7,7 +7,7 @@ in the state it leaves.
 
 ReferenceConv2d builds its im2col matrix as one contiguous copy of a 6-D
 transposed window view and scatters its input gradient offset by offset;
-its products go through nn.layers._matmul like the layer's, since what it
+its products go through nn.blas._matmul like the layer's, since what it
 checks is the layout and the scatter, not the product.  ReferenceMaxPool2d takes argmax over a copied
 window view and scatters its gradient with np.add.at.  Both keep the
 parameters and constructor of the layer they shadow, so a test can load the
@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from memlab import Conv2d, MaxPool2d
-from memlab.nn.layers import _matmul
+from memlab.nn.blas import _matmul
 
 
 def reference_fill_gaussian(rng, n):

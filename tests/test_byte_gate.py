@@ -32,7 +32,7 @@ import pytest
 import memlab
 from memlab import Dataset, TrainConfig, reshuffle_experiment, synth_images
 from memlab.cli import dispatch
-from memlab.nn.layers import _blas_function
+from memlab.nn.blas import _blas_function
 
 GATE_CFG = """\
 data.kind = synth_images

@@ -1,5 +1,6 @@
 """Layer forward/backward against naive loop oracles."""
 
+import ast
 import functools
 import os
 import re
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 
 import memlab
 from memlab import Conv2d, Dense, Flatten, MaxPool2d, Prng, ReLU, ShapeError, Tensor
-from memlab.nn.layers import _fuses, _matmul
+from memlab.nn.blas import _fuses, _matmul
 from oracles import ReferenceConv2d, ReferenceMaxPool2d
 
 
@@ -482,7 +483,7 @@ _THREAD_SWEEP = """
 import hashlib
 import numpy as np
 from memlab import TrainConfig, reshuffle_experiment, synth_images
-from memlab.nn.layers import _fuses, _matmul
+from memlab.nn.blas import _fuses, _matmul
 
 h = hashlib.sha256()
 rng = np.random.default_rng(7)
@@ -543,7 +544,7 @@ _FOLD_SWEEP = """
 import hashlib
 import numpy as np
 from memlab import TrainConfig, reshuffle_experiment, synth_images
-from memlab.nn.layers import _fuses, _matmul, _matmul_into
+from memlab.nn.blas import _fuses, _matmul, _matmul_into
 
 rng = np.random.default_rng(8)
 for k, m, n in ((32, 784, 512), (33, 384, 385), (32, 512, 10), (400, 784, 512)):
@@ -569,14 +570,36 @@ print(h.hexdigest())
 """
 
 
+def test_only_nn_blas_reaches_into_openblas():
+    # the modules that import ctypes, and those with a string constant that
+    # names an OpenBLAS or CBLAS entry point: nn/blas.py alone
+    root = Path(memlab.__file__).parent
+    symbol = re.compile(r"\w*(openblas|cblas)\w*", re.IGNORECASE)
+    imports, symbols = set(), set()
+    for path in sorted(root.rglob("*.py")):
+        name = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            if any(m.partition(".")[0] == "ctypes" for m in modules):
+                imports.add(name)
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and symbol.fullmatch(node.value)):
+                symbols.add(name)
+    assert imports == {"nn/blas.py"}
+    assert symbols == {"nn/blas.py"}
+
+
 def test_the_blas_lookup_waits_for_the_first_folded_product():
     # importing memlab, building a net and checking its gradients read no
     # /proc/self/maps and load no library; the first training step does
-    looked_up = "print(layers._openblas.cache_info().currsize)"
+    looked_up = "print(blas._openblas.cache_info().currsize)"
     out = _fresh_interpreter(f"""
 import numpy as np
 import memlab
-from memlab.nn import layers
+from memlab.nn import blas
 {looked_up}
 net = memlab.build_network("flatten dense:512", (28, 28), 10)
 net.initialize(0)

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 
 from memlab import (Prng, SgdMomentum, ShapeError, build_network, network_from_descriptor,
                     softmax_cross_entropy)
-from memlab.nn import layers, parse_descriptor
-from memlab.nn.layers import _matmul_into
+from memlab.nn import blas, parse_descriptor
+from memlab.nn.blas import _matmul_into
 from memlab.nn.gradcheck import _gradients
 from oracles import reference_backward, reference_step
 from test_byte_gate import CONV_ARCH
@@ -170,6 +170,22 @@ def test_tokens_build_what_their_descriptor_rebuilds_or_name_the_fault(case):
     assert [p.shape for p in again.parameters()] == [p.shape for p in net.parameters()]
     assert again.sample_floats == net.sample_floats
     assert again.sample_products == net.sample_products
+
+
+@pytest.mark.parametrize("arch, shape, products, floats", [
+    ("flatten dense:512 relu dense:512 relu", (28, 28),
+     [196608, 102400, 102400, 262144, 5120], 784),
+    ("conv:8,3,1,1 relu maxpool:2 flatten dense:128 relu", (1, 28, 28),
+     [56448, 200704, 1280], 7056),
+    ("conv:4,3,2,1 relu maxpool:2 flatten dense:8 relu", (1, 9, 9), [900, 128, 80], 225),
+], ids=["mlp", "conv", "strided conv"])
+def test_per_sample_products_and_floats(arch, shape, products, floats):
+    # what evaluate sizes its row slices by: the multiply-adds of each K
+    # panel of each product (784 = 384 + 200 + 200; a conv row per output
+    # position), and the floats of the widest array a forward makes
+    net = build_network(arch, shape, 10)
+    assert net.sample_products == products
+    assert net.sample_floats == floats
 
 
 def test_forward_identity_single_dense():
@@ -393,9 +409,9 @@ def test_applied_in_backward_gives_the_bits_of_a_step(arch, shape, batch, moment
 
 def test_the_folding_cases_fold():
     # what the bits above are checked on: a folded product where it says so
-    assert layers._fuses(32, 16 * 9, 6 * 8 * 8) and layers._fuses(32, 16 * 9, 16 * 16)
-    assert layers._fuses(784, 512, 32) and layers._fuses(512, 512, 32)
-    assert not layers._fuses(784, 512, 400) and not layers._fuses(512, 10, 32)
+    assert blas._fuses(32, 16 * 9, 6 * 8 * 8) and blas._fuses(32, 16 * 9, 16 * 16)
+    assert blas._fuses(784, 512, 32) and blas._fuses(512, 512, 32)
+    assert not blas._fuses(784, 512, 400) and not blas._fuses(512, 10, 32)
 
 
 @pytest.mark.parametrize("load", [False, True], ids=["initialize", "load_state"])
@@ -426,8 +442,8 @@ def test_an_optimizer_built_before_the_weights_trains_to_the_same_bits(load):
 
 def test_without_the_dgemm_symbol_a_step_gives_the_same_bits(monkeypatch):
     want, want_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
-    monkeypatch.setattr(layers, "_dgemm", lambda: None)
-    assert not layers._fuses(784, 512, 32)
+    monkeypatch.setattr(blas, "_dgemm", lambda: None)
+    assert not blas._fuses(784, 512, 32)
     got, got_v = train_steps(MLP, (28, 28), 32, 0.9, reference=False)
     for a, b in zip(want.parameters(), got.parameters()):
         assert a.data.tobytes() == b.data.tobytes()

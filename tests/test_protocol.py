@@ -25,6 +25,7 @@ from memlab import (ConfigError, Dataset, EpochRecord, Labeling, MetricsLog,
                     synth_blobs, synth_images, train, write_metrics_csv)
 from memlab import protocol
 from memlab.cli import dispatch
+from memlab.nn import blas
 from memlab.protocol import run_fingerprint, shuffle_seed
 
 
@@ -668,7 +669,7 @@ class TestCompareTransfer:
         if case == "replaced pair":
             monkeypatch.setattr(protocol, "_transfer_pair", lambda *a: None)
         if case == "no thread setter":
-            monkeypatch.setattr(protocol, "_BLAS_SET_THREADS", ("no_such_symbol",))
+            monkeypatch.setattr(blas, "_BLAS_SET_THREADS", ("no_such_symbol",))
         if case == "daemonic caller":
             monkeypatch.setattr(multiprocessing, "current_process",
                                 lambda: types.SimpleNamespace(daemon=True))

@@ -12,8 +12,6 @@ through a counter-based splitmix64 stream.
 
 from .data import (
     Dataset,
-    Labeling,
-    SplitSpec,
     assign_random_labels,
     load_idx,
     reshuffle_labels,
@@ -84,9 +82,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BadMagicError", "Checkpoint", "ConfigError", "Conv2d",
     "CountMismatchError", "Dataset", "DatasetSpec", "Dense", "EpochRecord",
-    "Flatten", "Labeling", "MaxPool2d", "MemlabError", "MetricsLog",
+    "Flatten", "MaxPool2d", "MemlabError", "MetricsLog",
     "Network", "NonFiniteError", "PlateauScheduler", "Prng", "RangeError", "ReLU",
-    "RunSpec", "SgdMomentum", "ShapeError", "SplitSpec", "Tensor",
+    "RunSpec", "SgdMomentum", "ShapeError", "Tensor",
     "TrainConfig", "TrainingDivergedError", "TransferReport",
     "TruncatedError", "UsageError", "VersionError", "assign_random_labels",
     "baseline", "build_network", "compare_transfer", "derive_seed", "emit_svg",

@@ -14,9 +14,10 @@ import sys
 from dataclasses import replace
 
 from . import protocol
-from .data import SplitSpec, split
+from .data import split
 from .errors import ConfigError, MemlabError, UsageError
 from .persist import (
+    _ROWS,
     RunSpec,
     format_real,
     load_checkpoint,
@@ -24,7 +25,6 @@ from .persist import (
     phase_config,
     read_metrics_csv,
     render_config,
-    resolved_epochs,
     save_checkpoint,
     write_metrics_csv,
 )
@@ -59,14 +59,14 @@ def _build_parser() -> _Parser:
     command("compare", "paired baseline vs pretrained runs over seeds",
             **{"--seeds": dict(help="comma-separated seed list override")})
     command("plot", "render an SVG from an existing metrics CSV",
-            **{"--metrics": dict(help="metrics.csv to plot")})
+            **{"--metrics": dict(required=True, help="metrics.csv to plot")})
     return parser
 
 
 def _emit(out_dir: str, spec: RunSpec, log=None, ckpt=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config.echo"), "w", encoding="utf-8") as f:
-        f.write(render_config(spec))
+    with open(os.path.join(out_dir, "config.echo"), "wb") as f:
+        f.write(render_config(spec).encode("utf-8"))
     if log is not None:
         write_metrics_csv(log, os.path.join(out_dir, "metrics.csv"))
         emit_svg(log, os.path.join(out_dir, "plot.svg"))
@@ -88,14 +88,14 @@ def _run_spec(args, phase: str | None = None) -> RunSpec:
     file written when the epochs it runs (of ``phase``, when given) are 0.
     A phase key of 0 falls back to epochs, so epochs is the key to blame."""
     spec = parse_config(args.config)
-    if (resolved_epochs(spec, phase) if phase else spec.train.epochs) == 0:
+    if (phase_config(spec, phase) if phase else spec.train).epochs == 0:
         raise ConfigError(f"epochs must be >= 1 for {args.command}, got 0")
     return spec
 
 
 def _split_target(spec: RunSpec):
     target = (spec.target or spec.data).build()
-    return split(target, SplitSpec(spec.train_fraction, spec.train.seed))
+    return split(target, spec.train_fraction, spec.train.seed)
 
 
 def _finish(args, spec: RunSpec, split_name: str, ckpt, log) -> int:
@@ -139,7 +139,7 @@ def _cmd_reshuffle(args) -> int:
         spec = _flag_check("--rounds", replace, spec, rounds=args.rounds)
     d = spec.data.build()
     ckpt, log = protocol.reshuffle_experiment(
-        d, spec.arch, spec.train, spec.rounds, resolved_epochs(spec, "round"),
+        d, spec.arch, spec.train, spec.rounds, phase_config(spec, "round").epochs,
         spec.label_seed)
     _emit(args.out, spec, log, ckpt)
     print(f"round  start_acc  epochs_to_{args.threshold:g}")
@@ -154,11 +154,7 @@ def _cmd_compare(args) -> int:
     # the pretrain phase may run 0 epochs: that is the compare anchor
     spec = _run_spec(args, "ft")
     if args.seeds:
-        try:
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-        except ValueError:
-            raise UsageError(f"--seeds must be a comma list of integers, "
-                             f"got {args.seeds!r}") from None
+        seeds = _flag_check("--seeds", _ROWS["seeds"].parse, args.seeds)
         spec = _flag_check("--seeds", replace, spec, seeds=seeds)
     if spec.target is None:
         raise ConfigError("compare needs target.* dataset keys")
@@ -188,8 +184,6 @@ def _cmd_compare(args) -> int:
 
 def _cmd_plot(args) -> int:
     spec = parse_config(args.config)
-    if not args.metrics:
-        raise UsageError("plot needs --metrics pointing at a metrics.csv")
     log = read_metrics_csv(args.metrics)
     _emit(args.out, spec)
     emit_svg(log, os.path.join(args.out, "plot.svg"))

@@ -3,17 +3,17 @@
 A Dataset is immutable once built (its stored samples and its labels are
 marked read-only); every transformation returns a new Dataset, which takes
 the stored samples as they are, uint8 codes included.  Each one carries its
-labeling provenance -- true labels, random(seed), or reshuffled(seed,
-round) -- which ends up in run fingerprints, checkpoints and plot legends.
+labeling provenance string, such as "random(seed=7)", which ends up in run
+fingerprints, checkpoints and plot legends.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,26 +28,6 @@ IDX_LABEL_MAGIC = 0x00000801
 # the corpus in place and every temporary is about one block, so a build
 # peaks at the corpus plus a few blocks, and those fit the per-core L2
 _ROWS_BLOCK_BYTES = 1 << 18
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """Provenance of a dataset's labels."""
-
-    kind: str  # "true" | "random" | "reshuffled"
-    seed: int | None = None
-    round: int | None = None
-
-    @staticmethod
-    def true() -> "Labeling":
-        return Labeling("true")
-
-    def describe(self) -> str:
-        if self.kind == "true":
-            return "true_labels"
-        if self.kind == "random":
-            return f"random(seed={self.seed})"
-        return f"reshuffled(seed={self.seed}, round={self.round})"
 
 
 class Dataset:
@@ -65,13 +45,13 @@ class Dataset:
     """
 
     def __init__(self, samples, labels, num_classes: int,
-                 labeling: Labeling = Labeling.true()):
-        self._set(np.array(samples, dtype=np.float64),
-                  np.array(labels, dtype=np.int64), num_classes, labeling)
+                 labeling: str = "true_labels"):
+        self._set(np.array(samples, dtype=np.float64), _int64_labels(labels),
+                  num_classes, labeling)
 
     @classmethod
     def _stored(cls, data: np.ndarray, labels, num_classes: int,
-                labeling: Labeling = Labeling.true()) -> "Dataset":
+                labeling: str = "true_labels") -> "Dataset":
         """A dataset that keeps ``data`` as its storage, uncopied: float64
         samples, or the uint8 codes of an 8-bit corpus."""
         d = cls.__new__(cls)
@@ -145,14 +125,16 @@ class Dataset:
                                self.num_classes, self.labeling)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        require(self, lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
-        require(self, u64, "in [0, 2**64)", "seed")
+def _int64_labels(labels) -> np.ndarray:
+    """``labels`` as a new int64 array; the first label that is not a whole
+    number in int64 range raises RangeError."""
+    raw = np.asarray(labels)
+    if raw.dtype.kind in "bi":  # bool or signed: every value fits
+        return raw.astype(np.int64)
+    for i, v in enumerate(raw.flat):
+        if not (isinstance(v, numbers.Real) and -2**63 <= v < 2**63 and v == int(v)):
+            raise RangeError(f"label {i} must be a whole number in int64 range, got {v}")
+    return raw.astype(np.int64)
 
 
 class _Reader:
@@ -408,7 +390,7 @@ def assign_random_labels(d: Dataset, seed: int,
     """
     k = d.num_classes if num_classes is None else int(num_classes)
     labels = Prng(seed).fill_below(d.n, k)
-    return Dataset._stored(d._data, labels, k, Labeling("random", seed=int(seed)))
+    return Dataset._stored(d._data, labels, k, f"random(seed={int(seed)})")
 
 
 def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
@@ -421,18 +403,20 @@ def reshuffle_labels(d: Dataset, base_seed: int, round: int) -> Dataset:
     require(locals(), lambda v: v >= 1, ">= 1", "round")
     relabeled = assign_random_labels(d, derive_seed(int(base_seed), int(round)))
     return Dataset._stored(relabeled._data, relabeled.labels, relabeled.num_classes,
-                           Labeling("reshuffled", seed=int(base_seed), round=int(round)))
+                           f"reshuffled(seed={int(base_seed)}, round={int(round)})")
 
 
-def split(d: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
+def split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
     """Seeded permutation partition into (train, val); provenance inherited."""
-    n_train = int(d.n * spec.train_fraction)
+    require(locals(), lambda v: 0.0 < v < 1.0, "in (0, 1)", "train_fraction")
+    require(locals(), u64, "in [0, 2**64)", "seed")
+    n_train = int(d.n * train_fraction)
     if n_train < 1 or n_train >= d.n:
         raise RangeError(
-            f"train_fraction {spec.train_fraction} leaves an empty side "
+            f"train_fraction {train_fraction} leaves an empty side "
             f"for n={d.n}"
         )
-    order = Prng(spec.seed).permutation(d.n)
+    order = Prng(seed).permutation(d.n)
     tr, va = order[:n_train], order[n_train:]
     return (Dataset._stored(d._data[tr], d.labels[tr], d.num_classes, d.labeling),
             Dataset._stored(d._data[va], d.labels[va], d.num_classes, d.labeling))

@@ -72,3 +72,8 @@ def require(obj, ok, rule: str, *names: str) -> None:
 
 def u64(value: int) -> bool:
     return 0 <= value < 2**64
+
+
+def integer(value) -> bool:
+    """What range() takes as an int: numpy's ints too, not a whole float."""
+    return hasattr(value, "__index__")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ..errors import NonFiniteError, RangeError, require, u64
+from ..errors import NonFiniteError, RangeError, integer, require, u64
 from .tensor import Tensor
 
 MONITORS = ("train_loss", "val_accuracy")
@@ -33,6 +33,7 @@ class TrainConfig:
     monitor: str = "val_accuracy"
 
     def __post_init__(self):
+        require(self, integer, "an integer", "epochs", "patience", "batch_size", "seed")
         require(self, math.isfinite, "finite",
                 "initial_lr", "momentum", "decay_factor", "min_lr")
         require(self, lambda v: v >= 0, ">= 0", "epochs")

@@ -146,7 +146,7 @@ def write_metrics_csv(log: MetricsLog, path) -> None:
 def read_metrics_csv(path) -> MetricsLog:
     """Inverse of write_metrics_csv; every record is validated again.
 
-    Labeling provenance is not part of the CSV, so logs read back carry
+    The labeling provenance is not part of the CSV, so logs read back carry
     records only.
     """
     lines = _text_lines(path)
@@ -390,12 +390,9 @@ def render_config(spec: RunSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def resolved_epochs(spec: RunSpec, which: str) -> int:
-    """Effective epoch budget for a phase; 0-valued keys fall back to epochs."""
+def phase_config(spec: RunSpec, which: str) -> TrainConfig:
+    """The train config of phase ``which`` ("round", "pre" or "ft"): its
+    epochs are the phase key's, or epochs when that key is 0."""
     value = {"round": spec.epochs_per_round, "pre": spec.pre_epochs,
              "ft": spec.ft_epochs}[which]
-    return value if value else spec.train.epochs
-
-
-def phase_config(spec: RunSpec, which: str) -> TrainConfig:
-    return replace(spec.train, epochs=resolved_epochs(spec, which))
+    return replace(spec.train, epochs=value or spec.train.epochs)

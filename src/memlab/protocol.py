@@ -15,9 +15,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import (Dataset, SplitSpec, _usable_cores, assign_random_labels,
+from .data import (Dataset, _usable_cores, assign_random_labels,
                    reshuffle_labels, split)
-from .errors import ConfigError, RangeError, ShapeError, TrainingDivergedError, require
+from .errors import ConfigError, RangeError, ShapeError, TrainingDivergedError, integer, require
 from .nn import (
     Network,
     PlateauScheduler,
@@ -144,7 +144,7 @@ def run_fingerprint(cfg: TrainConfig, d: Dataset) -> str:
     h = hashlib.blake2b(digest_size=8)
     for k, v in cfg.fingerprint_items():
         h.update(f"{k}={v};".encode())
-    h.update(f"labeling={d.labeling.describe()};".encode())
+    h.update(f"labeling={d.labeling};".encode())
     h.update(f"shape={(d.n, *d.feature_shape)};classes={d.num_classes};".encode())
     return h.hexdigest()
 
@@ -152,7 +152,7 @@ def run_fingerprint(cfg: TrainConfig, d: Dataset) -> str:
 def _checkpoint_of(net: Network, d: Dataset, cfg: TrainConfig,
                    epochs_done: int) -> Checkpoint:
     provenance = "\n".join([
-        f"labeling={d.labeling.describe()}",
+        f"labeling={d.labeling}",
         f"config={run_fingerprint(cfg, d)}",
         f"epochs={epochs_done}",
     ])
@@ -238,7 +238,7 @@ def _run_round(net: Network, train_d: Dataset, val_d: Dataset | None,
     _check_head(net, train_d)
     if cfg.monitor != "train_loss" and val_d is None:
         raise ConfigError(f"monitor {cfg.monitor!r} requires a validation set")
-    log.round_labelings[round] = train_d.labeling.describe()
+    log.round_labelings[round] = train_d.labeling
     opt = SgdMomentum(net.parameters(), cfg.initial_lr, cfg.momentum)
     mode = "minimize" if cfg.monitor.endswith("loss") else "maximize"
     sched = PlateauScheduler(cfg.initial_lr, cfg.patience, cfg.decay_factor,
@@ -344,6 +344,7 @@ def reshuffle_experiment(d: Dataset, arch: str, cfg: TrainConfig, rounds: int,
     on the new labels before any step of that round (chance level if the
     network has no head start).
     """
+    require(locals(), integer, "an integer", "rounds", "epochs_per_round")
     require(locals(), lambda v: v >= 1, ">= 1", "rounds", "epochs_per_round")
     cfg = replace(cfg, epochs=epochs_per_round, monitor="train_loss")
     net = build_network(arch, d.feature_shape, d.num_classes)
@@ -542,7 +543,7 @@ def compare_transfer(source_d: Dataset, target_d: Dataset, arch: str,
     if math.prod(source) != math.prod(target):
         raise ShapeError(f"target per-sample shape {target} does not fit the "
                          f"source per-sample shape {source}")
-    t_train, t_val = split(target_d, SplitSpec(train_fraction, ft_cfg.seed))
+    t_train, t_val = split(target_d, train_fraction, ft_cfg.seed)
     args = (source_d, t_train, t_val, arch, pre_cfg, ft_cfg)
     base_acc, ft_acc, fingerprints = map(list, zip(*_seed_map(_transfer_pair, args, seeds)))
     return TransferReport(list(seeds), base_acc, ft_acc, fingerprints)

@@ -13,7 +13,7 @@ import pytest
 
 from memlab import protocol
 from memlab import (BadMagicError, Checkpoint, ConfigError,
-                    CountMismatchError, PlateauScheduler, Prng, SplitSpec,
+                    CountMismatchError, PlateauScheduler, Prng,
                     TrainConfig, TruncatedError, VersionError, build_network,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     grad_check, load_checkpoint, load_idx,
@@ -148,7 +148,7 @@ def test_criterion_6_paired_run_anchor(tmp_path):
     for seed in (0, 1):
         cfg = TrainConfig(epochs=5, initial_lr=0.05, batch_size=16,
                           seed=seed, monitor="val_accuracy")
-        tr, va = split(target, SplitSpec(0.8, seed))
+        tr, va = split(target, 0.8, seed)
 
         base_net = build_network(arch, tr.feature_shape, tr.num_classes)
         base_net.initialize(cfg.seed)
@@ -189,7 +189,7 @@ def test_criterion_7_scheduler_semantics():
 
 def test_criterion_8_determinism_and_persistence(tmp_path):
     d = synth_images(64, 5, seed=800, size=12)
-    tr, va = split(d, SplitSpec(0.75, seed=0))
+    tr, va = split(d, 0.75, seed=0)
     cfg = TrainConfig(epochs=4, initial_lr=0.05, batch_size=16, seed=3,
                       monitor="val_accuracy")
 

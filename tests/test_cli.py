@@ -1,5 +1,6 @@
 """Command line behavior: outputs, exit codes, reproducibility from the echo."""
 
+import os
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -79,6 +80,23 @@ def test_pretrain_writes_run_artifacts(tmp_path, capsys):
     for name in ("config.echo", "metrics.csv", "plot.svg", "final.ckpt"):
         assert (out / name).exists(), name
     assert "pretrain: 2 epochs" in capsys.readouterr().out
+
+
+def test_every_artifact_is_written_in_binary_mode(tmp_path, capsys, monkeypatch):
+    # text mode would write CRLF line ends on some platforms, and change the bytes
+    out = tmp_path / "run1"
+    opened, real_open = {}, open
+
+    def spy(path, mode="r", *args, **kwargs):
+        if os.path.dirname(os.fspath(path)) == str(out):
+            opened[os.path.basename(path)] = mode
+        return real_open(path, mode, *args, **kwargs)
+
+    cfg = write_cfg(tmp_path, BLOBS_CFG)
+    monkeypatch.setattr("builtins.open", spy)
+    assert dispatch(["pretrain", "--config", cfg, "--out", str(out)]) == 0
+    assert opened == {"config.echo": "wb", "metrics.csv": "wb", "plot.svg": "wb",
+                      "final.ckpt": "wb"}
 
 
 def test_pretrain_runs_a_conv_net_on_image_samples(tmp_path, capsys):

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 
 import memlab
-from memlab import (BadMagicError, CountMismatchError, Dataset, Labeling,
-                    MemlabError, ShapeError, SplitSpec, TruncatedError,
+from memlab import (BadMagicError, CountMismatchError, Dataset,
+                    MemlabError, ShapeError, TruncatedError,
                     assign_random_labels, load_idx, reshuffle_labels, split,
                     splitmix64, synth_blobs, synth_images, write_idx)
 from memlab import data, prng
@@ -263,6 +263,13 @@ class TestDataset:
         assert d.samples[0, 0] == 0.0 and d.labels[0] == 0
         assert not d.samples.flags.writeable and not d.labels.flags.writeable
 
+    @pytest.mark.parametrize("labels", [[0.0, 1.0], np.array([0, 1], dtype=np.uint64),
+                                        np.array([0, 1], dtype=object)],
+                             ids=["whole floats", "uint64", "object ints"])
+    def test_whole_labels_of_any_numeric_type_load(self, labels):
+        d = Dataset(np.zeros((2, 3)), labels, 2)
+        assert d.labels.dtype == np.int64 and d.labels.tolist() == [0, 1]
+
     def test_coded_samples_are_the_read_only_decode(self):
         d = synth_images(30, 5, seed=2, size=6)
         assert d.codes.dtype == np.uint8 and d.codes.shape == (30, 6, 6)
@@ -298,7 +305,7 @@ class TestDataset:
         assert reshuffle_labels(d, base_seed=1, round=2).codes is d.codes
         head = d.take(6)
         assert np.array_equal(head.codes, d.codes[:6])
-        tr, va = split(d, SplitSpec(0.75, seed=4))
+        tr, va = split(d, 0.75, seed=4)
         order = memlab.Prng(4).permutation(40)
         assert np.array_equal(tr.codes, d.codes[order[:30]])
         assert np.array_equal(va.codes, d.codes[order[30:]])
@@ -316,9 +323,10 @@ class TestDataset:
             d.take(11)
 
     def test_labeling_describe(self):
-        assert Labeling.true().describe() == "true_labels"
-        assert Labeling("random", seed=5).describe() == "random(seed=5)"
-        assert Labeling("reshuffled", seed=7, round=3).describe() == \
+        d = Dataset(np.zeros((2, 1)), [0, 1], 2)
+        assert d.labeling == "true_labels"
+        assert assign_random_labels(d, seed=5).labeling == "random(seed=5)"
+        assert reshuffle_labels(d, base_seed=7, round=3).labeling == \
             "reshuffled(seed=7, round=3)"
 
 
@@ -485,7 +493,7 @@ class TestSynth:
         b = synth_blobs(100, 10, 16, 0.5, seed=4)
         assert a.samples.shape == (100, 16)
         assert a.num_classes == 10
-        assert a.labeling.kind == "true"
+        assert a.labeling == "true_labels"
         assert np.array_equal(a.samples, b.samples)
         assert np.array_equal(a.labels, b.labels)
         c = synth_blobs(100, 10, 16, 0.5, seed=5)
@@ -560,7 +568,7 @@ class TestRandomLabels:
         r2 = assign_random_labels(d, seed=42)
         assert r1.samples is d.samples
         assert np.array_equal(r1.labels, r2.labels)
-        assert r1.labeling == Labeling("random", seed=42)
+        assert r1.labeling == "random(seed=42)"
 
     def test_class_count_override(self):
         d = synth_blobs(500, 5, 4, 0.5, seed=0)
@@ -588,7 +596,7 @@ class TestReshuffle:
         r3 = reshuffle_labels(d, base_seed=21, round=3)
         direct = assign_random_labels(d, splitmix64(21 ^ 3))
         assert np.array_equal(r3.labels, direct.labels)
-        assert r3.labeling == Labeling("reshuffled", seed=21, round=3)
+        assert r3.labeling == "reshuffled(seed=21, round=3)"
 
     def test_round_validation(self):
         d = synth_blobs(10, 2, 4, 0.5, seed=0)
@@ -599,7 +607,7 @@ class TestReshuffle:
 class TestSplit:
     def test_partition(self):
         d = synth_blobs(10, 2, 3, 0.5, seed=9)
-        tr, va = split(d, SplitSpec(0.8, seed=5))
+        tr, va = split(d, 0.8, seed=5)
         assert (tr.n, va.n) == (8, 2)
         both = np.concatenate([tr.samples, va.samples])
         key = np.lexsort(both.T)
@@ -609,7 +617,7 @@ class TestSplit:
 
     def test_labels_travel_with_samples(self):
         d = synth_blobs(200, 5, 3, 1e-9, seed=9)
-        tr, va = split(d, SplitSpec(0.7, seed=1))
+        tr, va = split(d, 0.7, seed=1)
         # tiny spread: class is recoverable from the sample itself
         centers = np.stack([d.samples[d.labels == k][0] for k in range(5)])
         for part in (tr, va):
@@ -619,23 +627,23 @@ class TestSplit:
 
     def test_deterministic_and_seed_sensitive(self):
         d = synth_blobs(100, 5, 3, 0.5, seed=9)
-        a1, _ = split(d, SplitSpec(0.8, seed=5))
-        a2, _ = split(d, SplitSpec(0.8, seed=5))
-        b1, _ = split(d, SplitSpec(0.8, seed=6))
+        a1, _ = split(d, 0.8, seed=5)
+        a2, _ = split(d, 0.8, seed=5)
+        b1, _ = split(d, 0.8, seed=6)
         assert np.array_equal(a1.samples, a2.samples)
         assert not np.array_equal(a1.samples, b1.samples)
 
     def test_empty_side_rejected(self):
         d = synth_blobs(3, 2, 3, 0.5, seed=0)
         with pytest.raises(ValueError):
-            split(d, SplitSpec(0.01, seed=0))
+            split(d, 0.01, seed=0)
         with pytest.raises(ValueError):
-            SplitSpec(1.0, seed=0)
+            split(d, 1.0, seed=0)
         with pytest.raises(ValueError):
-            SplitSpec(0.0, seed=0)
+            split(d, 0.0, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
     def test_seed_outside_u64_rejected(self, seed):
         # the split stream keeps only the low 64 bits: 2**64 + 5 would split as 5
         with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\)"):
-            SplitSpec(0.8, seed=seed)
+            split(synth_blobs(10, 2, 3, 0.5, seed=0), 0.8, seed=seed)

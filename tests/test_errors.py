@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from memlab import (Dataset, DatasetSpec, EpochRecord, MemlabError, MetricsLog, Prng,
-                    RangeError, SgdMomentum, SplitSpec, Tensor, TrainConfig, build_network,
+                    RangeError, SgdMomentum, Tensor, TrainConfig, build_network,
                     compare_transfer, epochs_to_threshold, grad_check,
                     network_from_descriptor, render_svg, reshuffle_experiment,
                     reshuffle_labels, softmax_cross_entropy, split, synth_blobs,
@@ -51,6 +51,17 @@ CHECKS = [
     (lambda: Prng(0).below(0), "bound must be positive, got 0"),
     (lambda: Prng(0).fill_below(5, -1), "bound must be positive, got -1"),
     (lambda: build_network("flatten", (4,), 0), "num_classes must be positive, got 0"),
+    (lambda: TrainConfig(epochs=1.5), "epochs must be an integer, got 1.5"),
+    (lambda: TrainConfig(epochs="3"), "epochs must be an integer, got '3'"),
+    (lambda: TrainConfig(patience=2.0), "patience must be an integer, got 2.0"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+    (lambda: TrainConfig(seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: reshuffle_experiment(BLOBS, "flatten", CFG, 1.5, 1, 7),
+     "rounds must be an integer, got 1.5"),
+    (lambda: reshuffle_experiment(BLOBS, "flatten", CFG, 1, 2.0, 7),
+     "epochs_per_round must be an integer, got 2.0"),
+    (lambda: split(BLOBS, 1.0, 0), "train_fraction must be in (0, 1), got 1.0"),
+    (lambda: split(BLOBS, 0.5, -1), "seed must be in [0, 2**64), got -1"),
 ]
 CHECK_IDS = ["synth_blobs spread nan", "synth_blobs spread inf", "synth_blobs spread 0",
              "synth_blobs dim", "synth_blobs num_classes", "synth_images num_classes",
@@ -60,7 +71,11 @@ CHECK_IDS = ["synth_blobs spread nan", "synth_blobs spread inf", "synth_blobs sp
              "Dataset num_classes", "reshuffle_experiment rounds",
              "reshuffle_experiment epochs_per_round", "epochs_to_threshold 0",
              "epochs_to_threshold nan", "grad_check eps", "grad_check max_entries",
-             "he_init fan_in", "Prng.below", "Prng.fill_below", "build_network"]
+             "he_init fan_in", "Prng.below", "Prng.fill_below", "build_network",
+             "TrainConfig epochs float", "TrainConfig epochs str", "TrainConfig patience",
+             "TrainConfig batch_size", "TrainConfig seed", "reshuffle_experiment rounds float",
+             "reshuffle_experiment epochs_per_round float", "split train_fraction",
+             "split seed"]
 
 
 @pytest.mark.parametrize("call, message", CHECKS, ids=CHECK_IDS)
@@ -101,10 +116,18 @@ REFUSALS = [
     (lambda: Dataset(np.zeros((0, 3)), [], 2), "dataset must contain at least one sample"),
     (lambda: Dataset(np.zeros((2, 3)), [0], 2), "2 samples but 1 labels"),
     (lambda: Dataset(np.zeros((2, 3)), [0, 5], 2), "labels must lie in [0, 2)"),
+    (lambda: Dataset(np.zeros((2, 3)), [0.5, 1.7], 2),
+     "label 0 must be a whole number in int64 range, got 0.5"),
+    (lambda: Dataset(np.zeros((2, 3)), [0, math.nan], 2),
+     "label 1 must be a whole number in int64 range, got nan"),
+    (lambda: Dataset(np.zeros((2, 3)), ["a", "b"], 2),
+     "label 0 must be a whole number in int64 range, got a"),
+    (lambda: Dataset(np.zeros((2, 3)), [2**70, 0], 2),
+     f"label 0 must be a whole number in int64 range, got {2**70}"),
     (lambda: BLOBS.take(0), "cannot take 0 of 12 samples"),
     (lambda: write_idx(BLOBS, "unused", "unused"), "IDX images must be (n, H, W), got (12, 4)"),
     (lambda: synth_blobs(2, 3, 4, 0.5, seed=0), "need n >= num_classes, got n=2, classes=3"),
-    (lambda: split(BLOBS.take(2), SplitSpec(0.4, 0)),
+    (lambda: split(BLOBS.take(2), 0.4, 0),
      "train_fraction 0.4 leaves an empty side for n=2"),
     (lambda: DatasetSpec(kind="synth_blobs", n=2, classes=3),
      "n must be >= classes for kind synth_blobs, got n=2, classes=3"),
@@ -123,6 +146,8 @@ REFUSALS = [
 REFUSAL_IDS = ["Network.backward optimizer", "unknown layer kind", "bad layer arguments",
                "input dimensions", "descriptor tokens", "descriptor numbers",
                "Dataset rank", "Dataset empty", "Dataset label count", "Dataset label range",
+               "Dataset label fraction", "Dataset label nan", "Dataset label text",
+               "Dataset label overflow",
                "Dataset.take", "write_idx rank", "synth_blobs n", "split fraction",
                "DatasetSpec classes", "DatasetSpec take", "softmax_cross_entropy labels",
                "MetricsLog.append", "MetricsLog.final", "epochs_to_threshold round",

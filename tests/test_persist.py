@@ -16,10 +16,8 @@ from memlab import (BadMagicError, Checkpoint, ConfigError, DatasetSpec,
                     parse_config, read_metrics_csv, render_config,
                     save_checkpoint, split, synth_blobs, synth_images,
                     write_idx, write_metrics_csv)
-from memlab.data import SplitSpec
 from memlab.nn import MONITORS
-from memlab.persist import (CSV_HEADER, format_real, phase_config,
-                            resolved_epochs)
+from memlab.persist import CSV_HEADER, format_real, phase_config
 
 
 def small_checkpoint(seed=1):
@@ -667,9 +665,9 @@ class TestPhaseConfig:
 
     def test_fallback_to_train_epochs(self, tmp_path):
         spec = self.make_spec(tmp_path)
-        assert resolved_epochs(spec, "pre") == 3
-        assert resolved_epochs(spec, "ft") == 10
-        assert resolved_epochs(spec, "round") == 7
+        assert phase_config(spec, "pre").epochs == 3
+        assert phase_config(spec, "ft").epochs == 10
+        assert phase_config(spec, "round").epochs == 7
 
     def test_phase_config_keeps_everything_else(self, tmp_path):
         spec = self.make_spec(tmp_path)

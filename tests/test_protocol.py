@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 import memlab
-from memlab import (ConfigError, Dataset, EpochRecord, Labeling, MetricsLog,
-                    ShapeError, SplitSpec, TrainConfig, TrainingDivergedError,
+from memlab import (ConfigError, Dataset, EpochRecord, MetricsLog,
+                    ShapeError, TrainConfig, TrainingDivergedError,
                     TransferReport, assign_random_labels, build_network,
                     compare_transfer, epochs_to_threshold, evaluate, finetune,
                     pretrain_random, reshuffle_experiment, split, splitmix64,
@@ -202,7 +202,7 @@ class TestTrain:
 
     def test_runs_exactly_cfg_epochs(self):
         d = synth_blobs(64, 4, 6, 0.5, seed=3)
-        tr, va = split(d, SplitSpec(0.75, seed=0))
+        tr, va = split(d, 0.75, seed=0)
         net = fresh_net(d)
         ckpt, log = train(net, tr, va, blob_cfg(epochs=7))
         assert [r.epoch for r in log.rows(split="train")] == list(range(1, 8))
@@ -254,7 +254,7 @@ class TestTrain:
 
     def test_final_val_record_is_evaluate_of_final_weights(self):
         d = synth_blobs(64, 4, 6, 0.5, seed=3)
-        tr, va = split(d, SplitSpec(0.75, seed=0))
+        tr, va = split(d, 0.75, seed=0)
         net = fresh_net(d, "flatten dense:8 relu")
         _, log = train(net, tr, va, blob_cfg(epochs=3))
         final = log.final("val")
@@ -268,7 +268,7 @@ class TestTrain:
 
     def test_deterministic_csv_bytes(self, tmp_path):
         d = synth_blobs(64, 4, 6, 0.5, seed=3)
-        tr, va = split(d, SplitSpec(0.75, seed=0))
+        tr, va = split(d, 0.75, seed=0)
         paths = []
         for name in ("a.csv", "b.csv"):
             _, log = train(fresh_net(d), tr, va, blob_cfg(epochs=4))
@@ -357,7 +357,7 @@ def test_run_fingerprint_is_pinned():
     defaults = TrainConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(TrainConfig))
-    d = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 2, Labeling("random", seed=5))
+    d = Dataset(np.zeros((4, 2)), [0, 1, 0, 1], 2, "random(seed=5)")
     assert run_fingerprint(cfg, d) == "52938c10ff254847"
 
 
@@ -424,7 +424,7 @@ class TestPretrainFinetune:
     def test_zero_epoch_pretrain_reproduces_baseline(self):
         source = synth_blobs(64, 7, 6, 0.5, seed=6)
         target = synth_blobs(80, 4, 6, 0.5, seed=7)
-        t_train, t_val = split(target, SplitSpec(0.75, seed=0))
+        t_train, t_val = split(target, 0.75, seed=0)
         arch = "flatten dense:10 relu"
         cfg = blob_cfg(epochs=3, seed=3, monitor="val_accuracy")
 
@@ -759,7 +759,7 @@ class TestCodedCorpora:
         d = synth_images(60, 3, seed=4, size=6)
         runs = []
         for data in (d, self.float_twin(d)):
-            tr, va = split(data, SplitSpec(0.75, seed=2))
+            tr, va = split(data, 0.75, seed=2)
             ckpt, log = train(fresh_net(tr, "flatten dense:8 relu"), tr, va,
                               blob_cfg(epochs=2, monitor="val_accuracy"))
             runs.append((ckpt.tensors, log.records))
@@ -768,7 +768,7 @@ class TestCodedCorpora:
 
     def test_round_decodes_every_validation_pass_into_one_buffer(self, monkeypatch):
         d = synth_images(80, 3, seed=5, size=6)
-        tr, va = split(d, SplitSpec(0.5, seed=1))
+        tr, va = split(d, 0.5, seed=1)
         real, buffers = protocol.evaluate, []
 
         def spy(net, data, scratch=None):
